@@ -5,6 +5,8 @@
 use crate::model::PackedMoeModel;
 use crate::{EngineError, Result};
 use milo_moe::attention::rms_norm;
+use milo_moe::decode::attend_step;
+use milo_moe::ResilienceContext;
 use milo_tensor::Matrix;
 
 /// Per-layer key/value caches for one packed decoding stream.
@@ -12,12 +14,17 @@ use milo_tensor::Matrix;
 pub struct PackedDecodeState {
     kv: Vec<(Vec<f32>, Vec<f32>)>,
     seen: usize,
+    d_model: usize,
 }
 
 impl PackedDecodeState {
     /// Creates an empty state for `model`.
     pub fn new(model: &PackedMoeModel) -> Self {
-        Self { kv: vec![(Vec::new(), Vec::new()); model.n_layers()], seen: 0 }
+        Self {
+            kv: vec![(Vec::new(), Vec::new()); model.n_layers()],
+            seen: 0,
+            d_model: model.d_model(),
+        }
     }
 
     /// Number of tokens processed so far.
@@ -31,50 +38,17 @@ impl PackedDecodeState {
     }
 }
 
-/// Causal attention of one new query row against cached keys/values
-/// (same math as `milo_moe::decode`, kept local to avoid exposing the
-/// cache layout across crates).
-fn attend_step(q: &[f32], keys: &[f32], values: &[f32], n_heads: usize, d: usize) -> Vec<f32> {
-    let seen = keys.len() / d;
-    let hd = d / n_heads;
-    let scale = 1.0 / (hd as f32).sqrt();
-    let mut ctx = vec![0.0f32; d];
-    for h in 0..n_heads {
-        let off = h * hd;
-        let mut scores = Vec::with_capacity(seen);
-        let mut max_s = f32::NEG_INFINITY;
-        for j in 0..seen {
-            let mut s = 0.0;
-            for c in 0..hd {
-                s += q[off + c] * keys[j * d + off + c];
-            }
-            let s = s * scale;
-            max_s = max_s.max(s);
-            scores.push(s);
-        }
-        let mut denom = 0.0;
-        for s in &mut scores {
-            *s = (*s - max_s).exp();
-            denom += *s;
-        }
-        for (j, s) in scores.iter().enumerate() {
-            let w = s / denom;
-            for c in 0..hd {
-                ctx[off + c] += w * values[j * d + off + c];
-            }
-        }
-    }
-    ctx
-}
-
 impl PackedMoeModel {
     /// Processes one token incrementally through the packed projections,
     /// returning this position's logits.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Run`] for invalid tokens or a state built
-    /// for a different model.
+    /// Returns [`EngineError::Run`] for invalid tokens,
+    /// [`EngineError::DecodeStateMismatch`] for a state built for a model
+    /// of another depth or width, and [`EngineError::ExpertFailed`] for a
+    /// panicking or non-finite expert (experts dispatch under a strict
+    /// [`ResilienceContext`]).
     pub fn forward_step(
         &self,
         token: u32,
@@ -83,10 +57,14 @@ impl PackedMoeModel {
         if token as usize >= self.vocab() {
             return Err(EngineError::Run(format!("token {token} out of vocabulary")));
         }
-        if state.kv.len() != self.n_layers() {
-            return Err(EngineError::Run("decode state built for a different model".into()));
-        }
         let d = self.d_model();
+        if (state.kv.len(), state.d_model) != (self.n_layers(), d) {
+            return Err(EngineError::DecodeStateMismatch {
+                state: (state.kv.len(), state.d_model),
+                model: (self.n_layers(), d),
+            });
+        }
+        let strict = ResilienceContext::strict();
         let mut x = Matrix::zeros(1, d);
         x.row_mut(0).copy_from_slice(self.embed_row(token as usize));
 
@@ -105,7 +83,7 @@ impl PackedMoeModel {
             }
 
             let normed = rms_norm(&x);
-            let f = self.ffn_forward(li, &normed)?;
+            let f = self.ffn(li, &normed, &strict)?;
             for (xv, fv) in x.row_mut(0).iter_mut().zip(f.row(0)) {
                 *xv += fv;
             }
@@ -167,6 +145,28 @@ mod tests {
             }
         }
         assert_eq!(state.len(), 4);
+    }
+
+    #[test]
+    fn state_for_another_width_is_a_typed_error() {
+        let (_, wide) = engine();
+        let mut cfg = MoeConfig::tiny_mixtral();
+        cfg.n_layers = 2;
+        let narrow_ref = MoeModel::synthesize(&cfg, 42);
+        let tensors = layer_tensors(&narrow_ref, None);
+        let opts = MiloOptions { max_iters: 1, ..MiloOptions::default() };
+        let compressed = compress_model(&tensors, &RankPolicy::uniform(0), &opts, 1).unwrap();
+        let narrow = PackedMoeModel::build(&narrow_ref, &compressed).unwrap();
+
+        // Same depth, different width: the 128-wide cache must not be
+        // extended with 64-wide keys.
+        let mut state = PackedDecodeState::new(&wide);
+        wide.forward_step(1, &mut state).unwrap();
+        assert_eq!(
+            narrow.forward_step(1, &mut state),
+            Err(EngineError::DecodeStateMismatch { state: (2, 128), model: (2, 64) })
+        );
+        assert_eq!(state.len(), 1);
     }
 
     #[test]

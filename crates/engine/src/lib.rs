@@ -53,6 +53,14 @@ pub enum EngineError {
         /// (`n_layers` = the pre-head check after the last layer).
         layer: usize,
     },
+    /// A [`PackedDecodeState`] was stepped on a model with a different
+    /// layer count or width than the model it was built for.
+    DecodeStateMismatch {
+        /// `(n_layers, d_model)` the state was built for.
+        state: (usize, usize),
+        /// `(n_layers, d_model)` of the model it was stepped on.
+        model: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -66,11 +74,30 @@ impl std::fmt::Display for EngineError {
             EngineError::Cancelled { layer } => {
                 write!(f, "request cancelled at layer boundary {layer}")
             }
+            EngineError::DecodeStateMismatch { state, model } => write!(
+                f,
+                "decode state built for {} layers at d_model {}, stepped on {} layers at d_model {}",
+                state.0, state.1, model.0, model.1
+            ),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+/// Dispatch failures from [`milo_moe::MoeBlock::dispatch`]: an expert
+/// failure keeps its typed variant; anything else (routing) is a run
+/// error.
+impl From<milo_moe::MoeError> for EngineError {
+    fn from(e: milo_moe::MoeError) -> Self {
+        match e {
+            milo_moe::MoeError::ExpertFailed { layer, expert, reason } => {
+                EngineError::ExpertFailed { layer, expert, reason }
+            }
+            other => EngineError::Run(other.to_string()),
+        }
+    }
+}
 
 /// Convenient result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;

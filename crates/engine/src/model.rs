@@ -5,52 +5,10 @@ use crate::linear::PackedLinear;
 use crate::{EngineError, Result};
 use milo_core::CompressedModel;
 use milo_moe::attention::{attend, rms_norm};
+use milo_moe::health::ResilienceContext;
 use milo_moe::mlp::silu;
-use milo_moe::health::{FaultKind, FaultMode, ResilienceContext};
-use milo_moe::router::Router;
-use milo_moe::{FfnBlock, MoeModel};
-use milo_tensor::{pool, Matrix};
-
-/// Records per-expert routed-token counters for one packed-layer pass
-/// and refreshes the layer's live load-skew gauge (max/mean of the
-/// cumulative counts; 1.0 is perfectly balanced).
-fn record_dispatch_telemetry(layer: usize, assignment: &[Vec<(usize, f32)>]) {
-    if !milo_obs::enabled() || assignment.is_empty() {
-        return;
-    }
-    let lv = layer.to_string();
-    let mut loads = Vec::with_capacity(assignment.len());
-    for (e, toks) in assignment.iter().enumerate() {
-        let key = milo_obs::metric_key(
-            "engine.expert_tokens",
-            &[("layer", &lv), ("expert", &e.to_string())],
-        );
-        milo_obs::counter_add(&key, toks.len() as u64);
-        loads.push(milo_obs::counter_get(&key));
-    }
-    let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-    if mean > 0.0 {
-        let max = *loads.iter().max().expect("non-empty") as f64;
-        milo_obs::gauge_set(
-            &milo_obs::metric_key("engine.load_skew", &[("layer", &lv)]),
-            max / mean,
-        );
-    }
-}
-
-/// Flushes one expert's forward latency (started inside the dispatch
-/// closure when telemetry was on) into its per-expert histogram.
-fn record_expert_latency(layer: usize, expert: usize, t0: Option<std::time::Instant>) {
-    let Some(t0) = t0 else { return };
-    milo_obs::hist_record(
-        &milo_obs::metric_key(
-            "engine.expert_ns",
-            &[("layer", &layer.to_string()), ("expert", &expert.to_string())],
-        ),
-        t0.elapsed().as_nanos() as u64,
-        milo_obs::Unit::Nanos,
-    );
-}
+use milo_moe::{Expert, FfnBlock, MoeBlock, MoeModel};
+use milo_tensor::Matrix;
 
 /// A SwiGLU block on packed projections.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,20 +18,16 @@ struct PackedMlp {
     w3: PackedLinear,
 }
 
-impl PackedMlp {
+impl Expert for PackedMlp {
+    const METRIC_PREFIX: &'static str = "engine";
+    type Error = EngineError;
+
     fn forward(&self, x: &Matrix) -> Result<Matrix> {
         let gate = self.w1.forward(x)?;
         let up = self.w3.forward(x)?;
         let h = Matrix::from_fn(gate.rows(), gate.cols(), |r, c| silu(gate[(r, c)]) * up[(r, c)]);
         self.w2.forward(&h)
     }
-}
-
-/// The FFN part of a packed layer.
-#[derive(Debug, Clone, PartialEq)]
-enum PackedFfn {
-    Dense(PackedMlp),
-    Moe { router: Router, experts: Vec<PackedMlp>, shared: Vec<PackedMlp> },
 }
 
 /// One packed transformer layer.
@@ -84,7 +38,21 @@ struct PackedLayer {
     wv: PackedLinear,
     wo: PackedLinear,
     n_heads: usize,
-    ffn: PackedFfn,
+    ffn: FfnBlock<PackedMlp>,
+}
+
+impl PackedLayer {
+    /// Every projection of the layer: attention, then the FFN's SwiGLU
+    /// blocks (the dense block, or the routed then the shared experts).
+    fn projections(&self) -> impl Iterator<Item = &PackedLinear> {
+        let mlps: Vec<&PackedMlp> = match &self.ffn {
+            FfnBlock::Dense(m) => vec![m],
+            FfnBlock::Moe(moe) => moe.experts.iter().chain(&moe.shared).collect(),
+        };
+        [&self.wq, &self.wk, &self.wv, &self.wo]
+            .into_iter()
+            .chain(mlps.into_iter().flat_map(|m| [&m.w1, &m.w2, &m.w3]))
+    }
 }
 
 /// A complete MoE model in deployment form: packed INT3 projections,
@@ -127,18 +95,16 @@ impl PackedMoeModel {
         let mut layers = Vec::with_capacity(reference.layers.len());
         for (li, layer) in reference.layers.iter().enumerate() {
             let ffn = match &layer.ffn {
-                FfnBlock::Dense(_) => PackedFfn::Dense(mlp(format!("layer{li}.dense"))?),
-                FfnBlock::Moe(moe) => {
-                    let mut experts = Vec::with_capacity(moe.experts.len());
-                    for e in 0..moe.experts.len() {
-                        experts.push(mlp(format!("layer{li}.expert{e}"))?);
-                    }
-                    let mut shared = Vec::with_capacity(moe.shared.len());
-                    for s in 0..moe.shared.len() {
-                        shared.push(mlp(format!("layer{li}.shared{s}"))?);
-                    }
-                    PackedFfn::Moe { router: moe.router.clone(), experts, shared }
-                }
+                FfnBlock::Dense(_) => FfnBlock::Dense(mlp(format!("layer{li}.dense"))?),
+                FfnBlock::Moe(moe) => FfnBlock::Moe(MoeBlock {
+                    router: moe.router.clone(),
+                    experts: (0..moe.experts.len())
+                        .map(|e| mlp(format!("layer{li}.expert{e}")))
+                        .collect::<Result<_>>()?,
+                    shared: (0..moe.shared.len())
+                        .map(|s| mlp(format!("layer{li}.shared{s}")))
+                        .collect::<Result<_>>()?,
+                }),
             };
             layers.push(PackedLayer {
                 wq: lin(format!("layer{li}.attn.wq"))?,
@@ -161,64 +127,31 @@ impl PackedMoeModel {
 
     /// Runs the model over a token sequence, returning per-position
     /// logits (`seq × vocab`), numerically equivalent (to FP16 rounding)
-    /// to evaluating the reconstructed dense model.
+    /// to evaluating the reconstructed dense model. Runs under a fresh
+    /// [`ResilienceContext::strict`], so a failing expert is an error.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Run`] for invalid tokens or empty input.
+    /// Returns [`EngineError::Run`] for invalid tokens or empty input and
+    /// [`EngineError::ExpertFailed`] for a panicking or non-finite expert.
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix> {
-        let _span = milo_obs::span(|| "engine.forward".into());
-        if tokens.is_empty() {
-            return Err(EngineError::Run("empty token sequence".into()));
-        }
-        let mut x = Matrix::zeros(tokens.len(), self.d_model);
-        for (i, &t) in tokens.iter().enumerate() {
-            if t as usize >= self.vocab {
-                return Err(EngineError::Run(format!("token {t} out of vocabulary")));
-            }
-            x.row_mut(i).copy_from_slice(self.embed.row(t as usize));
-        }
-
-        for li in 0..self.layers.len() {
-            let _span = milo_obs::span(|| format!("engine.layer{{layer={li}}}"));
-            let normed = rms_norm(&x);
-            let a = {
-                let _attn = milo_obs::span(|| "engine.attn".into());
-                let (q, k, v) = self.project_qkv(li, &normed)?;
-                let ctx = attend(&q, &k, &v, self.layers[li].n_heads);
-                self.project_out(li, &ctx)?
-            };
-            x = x.add(&a).map_err(|e| EngineError::Run(e.to_string()))?;
-
-            let normed = rms_norm(&x);
-            let f = {
-                let _ffn = milo_obs::span(|| "engine.ffn".into());
-                self.ffn_forward(li, &normed)?
-            };
-            x = x.add(&f).map_err(|e| EngineError::Run(e.to_string()))?;
-        }
-
-        let final_x = rms_norm(&x);
-        let logits = final_x
-            .matmul(&self.head.transpose())
-            .map_err(|e| EngineError::Run(e.to_string()))?;
-        Ok(logits.scale(self.head_gain / (self.d_model as f32).sqrt()))
+        self.forward_resilient(tokens, &ResilienceContext::strict())
     }
 
-    /// Fault-tolerant forward pass on packed weights: expert dispatch
-    /// runs behind panic isolation, expert outputs are checked for
-    /// non-finite values at the expert boundary, and failures follow the
-    /// context's [`FaultMode`] — typed [`EngineError::ExpertFailed`] in
-    /// strict mode, quarantine + top-k mass renormalization over the
-    /// surviving experts in degrade mode (mirroring
-    /// [`milo_moe::MoeBlock::forward_resilient`]).
+    /// Fault-tolerant forward pass on packed weights: experts dispatch
+    /// through [`MoeBlock::dispatch`], so failures follow the context's
+    /// [`FaultMode`](milo_moe::FaultMode) — typed
+    /// [`EngineError::ExpertFailed`] in strict mode, quarantine + top-k
+    /// mass renormalization over the surviving experts in degrade mode.
+    /// The context's cancel token is checked at every layer boundary.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Run`] for invalid tokens, empty input, or
-    /// routing failures (a sick router cannot be degraded around), and
+    /// routing failures (a sick router cannot be degraded around),
     /// [`EngineError::ExpertFailed`] for an expert failure in strict
-    /// mode.
+    /// mode, and [`EngineError::Cancelled`] once the context is
+    /// cancelled.
     pub fn forward_resilient(
         &self,
         tokens: &[u32],
@@ -253,7 +186,7 @@ impl PackedMoeModel {
             let normed = rms_norm(&x);
             let f = {
                 let _ffn = milo_obs::span(|| "engine.ffn".into());
-                self.ffn_forward_resilient(li, &normed, ctx)?
+                self.ffn(li, &normed, ctx)?
             };
             x = x.add(&f).map_err(|e| EngineError::Run(e.to_string()))?;
         }
@@ -268,192 +201,11 @@ impl PackedMoeModel {
         Ok(logits.scale(self.head_gain / (self.d_model as f32).sqrt()))
     }
 
-    /// Fault-tolerant FFN dispatch for layer `li`; see
-    /// [`PackedMoeModel::forward_resilient`] for the policy.
-    pub(crate) fn ffn_forward_resilient(
-        &self,
-        li: usize,
-        x: &Matrix,
-        ctx: &ResilienceContext,
-    ) -> Result<Matrix> {
-        let PackedFfn::Moe { router, experts, shared } = &self.layers[li].ffn else {
-            // A dense FFN has no experts to degrade around.
-            return self.ffn_forward(li, x);
-        };
-        let tokens_n = x.rows();
-        let mut out = Matrix::zeros(tokens_n, self.d_model);
-        let n_experts = experts.len();
-
-        let mut assignment: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n_experts];
-        for t in 0..tokens_n {
-            let routed = router
-                .try_route(x.row(t))
-                .map_err(|e| EngineError::Run(format!("layer {li} routing: {e}")))?;
-            for (e, gate) in routed {
-                assignment[e].push((t, gate));
-            }
-        }
-        record_dispatch_telemetry(li, &assignment);
-        let telemetry = milo_obs::enabled();
-
-        let raw = pool::try_par_map(n_experts, |e| {
-            if assignment[e].is_empty() || ctx.health.is_failed(li, e) {
-                return None;
-            }
-            match ctx.injected_kind(li, e) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: expert {e} of layer {li} killed mid-dispatch");
-                }
-                Some(FaultKind::Slow { millis }) => {
-                    ctx.sleep_interruptible(std::time::Duration::from_millis(millis));
-                }
-                _ => {}
-            }
-            let toks = &assignment[e];
-            let mut sub = Matrix::zeros(toks.len(), self.d_model);
-            for (i, &(t, _)) in toks.iter().enumerate() {
-                sub.row_mut(i).copy_from_slice(x.row(t));
-            }
-            let t0 = telemetry.then(std::time::Instant::now);
-            let mut res = experts[e].forward(&sub);
-            record_expert_latency(li, e, t0);
-            if ctx.injected_kind(li, e) == Some(FaultKind::NanOutput) {
-                if let Ok(y) = &mut res {
-                    y.row_mut(0)[0] = f32::NAN;
-                }
-            }
-            Some(res)
-        });
-
-        let mut outputs: Vec<Option<Matrix>> = Vec::with_capacity(n_experts);
-        for (e, task) in raw.into_iter().enumerate() {
-            let outcome = match task {
-                Err(panic) => Err(panic.message),
-                Ok(None) => Ok(None),
-                Ok(Some(Err(err))) => Err(format!("kernel error: {err}")),
-                Ok(Some(Ok(y))) if !y.as_slice().iter().all(|v| v.is_finite()) => {
-                    Err("non-finite output".to_string())
-                }
-                Ok(Some(Ok(y))) => Ok(Some(y)),
-            };
-            match outcome {
-                Ok(maybe) => {
-                    if maybe.is_some() {
-                        ctx.health.probe_succeeded(li, e);
-                    }
-                    outputs.push(maybe);
-                }
-                Err(reason) => match ctx.mode {
-                    FaultMode::Strict => {
-                        return Err(EngineError::ExpertFailed { layer: li, expert: e, reason })
-                    }
-                    FaultMode::Degrade => {
-                        ctx.health.record(li, e, reason);
-                        outputs.push(None);
-                    }
-                },
-            }
-        }
-
-        // Healthy tokens have full == alive, so their rescale factor is
-        // exactly 1 and the output matches the non-resilient path.
-        let mut full = vec![0f32; tokens_n];
-        let mut alive = vec![0f32; tokens_n];
-        for (e, toks) in assignment.iter().enumerate() {
-            let survived = outputs[e].is_some();
-            for &(t, g) in toks {
-                full[t] += g;
-                if survived {
-                    alive[t] += g;
-                }
-            }
-        }
-        for (e, maybe) in outputs.iter().enumerate() {
-            let Some(y) = maybe else { continue };
-            for (i, &(t, gate)) in assignment[e].iter().enumerate() {
-                let g = if alive[t] == full[t] { gate } else { gate * full[t] / alive[t] };
-                for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
-                    *o += g * v;
-                }
-            }
-        }
-
-        let shared_raw = pool::try_par_map(shared.len(), |s| {
-            let idx = n_experts + s;
-            if ctx.health.is_failed(li, idx) {
-                return None;
-            }
-            match ctx.injected_kind(li, idx) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: shared expert {s} of layer {li} killed mid-dispatch");
-                }
-                Some(FaultKind::Slow { millis }) => {
-                    ctx.sleep_interruptible(std::time::Duration::from_millis(millis));
-                }
-                _ => {}
-            }
-            Some(shared[s].forward(x))
-        });
-        for (s, task) in shared_raw.into_iter().enumerate() {
-            let idx = n_experts + s;
-            let outcome = match task {
-                Err(panic) => Err(panic.message),
-                Ok(None) => Ok(None),
-                Ok(Some(Err(err))) => Err(format!("kernel error: {err}")),
-                Ok(Some(Ok(y))) if !y.as_slice().iter().all(|v| v.is_finite()) => {
-                    Err("non-finite output".to_string())
-                }
-                Ok(Some(Ok(y))) => Ok(Some(y)),
-            };
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(y)) => {
-                    ctx.health.probe_succeeded(li, idx);
-                    for t in 0..tokens_n {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(t)) {
-                            *o += v;
-                        }
-                    }
-                }
-                Err(reason) => match ctx.mode {
-                    FaultMode::Strict => {
-                        return Err(EngineError::ExpertFailed {
-                            layer: li,
-                            expert: idx,
-                            reason,
-                        })
-                    }
-                    FaultMode::Degrade => ctx.health.record(li, idx, reason),
-                },
-            }
-        }
-        Ok(out)
-    }
-
     /// Deployment memory of the quantized projections in bytes (routers,
     /// embeddings, and head — kept FP16 by the paper's backend — are
     /// *not* included, matching the paper's memory columns).
     pub fn memory_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| {
-                let mut total = l.wq.memory_bytes()
-                    + l.wk.memory_bytes()
-                    + l.wv.memory_bytes()
-                    + l.wo.memory_bytes();
-                let mlp_bytes = |m: &PackedMlp| {
-                    m.w1.memory_bytes() + m.w2.memory_bytes() + m.w3.memory_bytes()
-                };
-                total += match &l.ffn {
-                    PackedFfn::Dense(m) => mlp_bytes(m),
-                    PackedFfn::Moe { experts, shared, .. } => {
-                        experts.iter().map(mlp_bytes).sum::<usize>()
-                            + shared.iter().map(mlp_bytes).sum::<usize>()
-                    }
-                };
-                total
-            })
-            .sum()
+        self.layers.iter().flat_map(PackedLayer::projections).map(PackedLinear::memory_bytes).sum()
     }
 
     /// Number of transformer layers.
@@ -497,62 +249,8 @@ impl PackedMoeModel {
     }
 
     /// Runs the FFN block of layer `li` on a batch of token rows.
-    ///
-    /// Expert forwards run concurrently on the [`milo_tensor::pool`]
-    /// (mirroring [`milo_moe::MoeBlock::forward_counting`]); the weighted
-    /// scatter-back stays serial in expert order so the output is
-    /// bit-identical across thread counts.
-    pub(crate) fn ffn_forward(&self, li: usize, x: &Matrix) -> Result<Matrix> {
-        match &self.layers[li].ffn {
-            PackedFfn::Dense(mlp) => mlp.forward(x),
-            PackedFfn::Moe { router, experts, shared } => {
-                let tokens_n = x.rows();
-                let mut out = Matrix::zeros(tokens_n, self.d_model);
-                let mut assignment: Vec<Vec<(usize, f32)>> = vec![Vec::new(); experts.len()];
-                for t in 0..tokens_n {
-                    for (e, gate) in router.route(x.row(t)) {
-                        assignment[e].push((t, gate));
-                    }
-                }
-                record_dispatch_telemetry(li, &assignment);
-                let telemetry = milo_obs::enabled();
-                let expert_outputs: Vec<Option<Result<Matrix>>> =
-                    pool::par_map(experts.len(), |e| {
-                        let toks = &assignment[e];
-                        if toks.is_empty() {
-                            return None;
-                        }
-                        let mut sub = Matrix::zeros(toks.len(), self.d_model);
-                        for (i, &(t, _)) in toks.iter().enumerate() {
-                            sub.row_mut(i).copy_from_slice(x.row(t));
-                        }
-                        let t0 = telemetry.then(std::time::Instant::now);
-                        let res = experts[e].forward(&sub);
-                        record_expert_latency(li, e, t0);
-                        Some(res)
-                    });
-                for (e, maybe) in expert_outputs.into_iter().enumerate() {
-                    let Some(res) = maybe else { continue };
-                    let y = res?;
-                    for (i, &(t, gate)) in assignment[e].iter().enumerate() {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
-                            *o += gate * v;
-                        }
-                    }
-                }
-                let shared_outputs: Vec<Result<Matrix>> =
-                    pool::par_map(shared.len(), |s| shared[s].forward(x));
-                for res in shared_outputs {
-                    let y = res?;
-                    for t in 0..tokens_n {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(t)) {
-                            *o += v;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
+    pub(crate) fn ffn(&self, li: usize, x: &Matrix, ctx: &ResilienceContext) -> Result<Matrix> {
+        self.layers[li].ffn.forward(x, li, ctx, None)
     }
 
     /// Projects a single residual row to logits (norm + head + gain).
@@ -568,32 +266,11 @@ impl PackedMoeModel {
     /// Fraction of projections served by the packed kernel (the rest use
     /// the dense fallback because of tile-shape constraints).
     pub fn packed_fraction(&self) -> f32 {
-        let mut packed = 0usize;
-        let mut total = 0usize;
-        let mut count = |l: &PackedLinear| {
-            total += 1;
-            if l.uses_packed_kernel() {
-                packed += 1;
-            }
-        };
-        for l in &self.layers {
-            count(&l.wq);
-            count(&l.wk);
-            count(&l.wv);
-            count(&l.wo);
-            let mut count_mlp = |m: &PackedMlp| {
-                count(&m.w1);
-                count(&m.w2);
-                count(&m.w3);
-            };
-            match &l.ffn {
-                PackedFfn::Dense(m) => count_mlp(m),
-                PackedFfn::Moe { experts, shared, .. } => {
-                    experts.iter().for_each(&mut count_mlp);
-                    shared.iter().for_each(&mut count_mlp);
-                }
-            }
-        }
+        let (packed, total) = self
+            .layers
+            .iter()
+            .flat_map(PackedLayer::projections)
+            .fold((0usize, 0usize), |(p, t), l| (p + usize::from(l.uses_packed_kernel()), t + 1));
         packed as f32 / total.max(1) as f32
     }
 }

@@ -11,6 +11,7 @@
 //! captured map plugs straight into a per-layer GPTQ run.
 
 use crate::attention::rms_norm;
+use crate::dispatch::{assign, gather, scatter_add};
 use crate::model::{FfnBlock, MoeModel};
 use crate::{MoeError, Result};
 use milo_tensor::Matrix;
@@ -137,45 +138,26 @@ pub fn forward_capturing_until(
                 y
             }
             FfnBlock::Moe(moe) => {
-                let tokens_n = normed.rows();
-                let mut out = Matrix::zeros(tokens_n, d);
-                // Same gather/scatter as MoeBlock::forward_counting, with
-                // per-expert capture.
-                let mut assignment: Vec<Vec<(usize, f32)>> =
-                    vec![Vec::new(); moe.experts.len()];
-                for t in 0..tokens_n {
-                    for (e, gate) in moe.router.route(normed.row(t)) {
-                        assignment[e].push((t, gate));
-                    }
-                }
-                for (e, toks) in assignment.iter().enumerate() {
+                // The dispatch's own assignment, gather, and scatter
+                // steps, run serially with per-expert capture.
+                let mut out = Matrix::zeros(normed.rows(), d);
+                for (e, toks) in assign(&moe.router, &normed, None)?.iter().enumerate() {
                     if toks.is_empty() {
                         continue;
                     }
-                    let mut sub = Matrix::zeros(toks.len(), d);
-                    for (i, &(t, _)) in toks.iter().enumerate() {
-                        sub.row_mut(i).copy_from_slice(normed.row(t));
-                    }
+                    let sub = gather(&normed, toks);
                     store.record(&format!("layer{li}.expert{e}.w1"), &sub);
                     store.record(&format!("layer{li}.expert{e}.w3"), &sub);
                     let (h, y) = moe.experts[e].forward_with_hidden(&sub)?;
                     store.record(&format!("layer{li}.expert{e}.w2"), &h);
-                    for (i, &(t, gate)) in toks.iter().enumerate() {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
-                            *o += gate * v;
-                        }
-                    }
+                    scatter_add(&mut out, &y, toks);
                 }
                 for (s, shared) in moe.shared.iter().enumerate() {
                     store.record(&format!("layer{li}.shared{s}.w1"), &normed);
                     store.record(&format!("layer{li}.shared{s}.w3"), &normed);
                     let (h, y) = shared.forward_with_hidden(&normed)?;
                     store.record(&format!("layer{li}.shared{s}.w2"), &h);
-                    for t in 0..tokens_n {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(t)) {
-                            *o += v;
-                        }
-                    }
+                    out = out.add(&y)?;
                 }
                 out
             }

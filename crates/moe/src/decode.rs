@@ -10,7 +10,8 @@
 //! the same order), which the tests assert.
 
 use crate::attention::rms_norm;
-use crate::model::{FfnBlock, MoeModel};
+use crate::health::ResilienceContext;
+use crate::model::MoeModel;
 use crate::{MoeError, Result};
 use milo_tensor::Matrix;
 
@@ -54,7 +55,7 @@ impl DecodeState {
 ///
 /// `q` is the new token's query row (`d` values); `keys`/`values` hold
 /// `seen` rows of `d` values each, the new position's row included.
-fn attend_step(q: &[f32], keys: &[f32], values: &[f32], n_heads: usize, d: usize) -> Vec<f32> {
+pub fn attend_step(q: &[f32], keys: &[f32], values: &[f32], n_heads: usize, d: usize) -> Vec<f32> {
     let seen = keys.len() / d;
     let hd = d / n_heads;
     let scale = 1.0 / (hd as f32).sqrt();
@@ -95,14 +96,23 @@ impl MoeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::InvalidToken`] for out-of-vocabulary ids.
+    /// Returns [`MoeError::InvalidToken`] for out-of-vocabulary ids,
+    /// [`MoeError::DecodeStateMismatch`] for a state built for a model of
+    /// another depth or width, and [`MoeError::ExpertFailed`] for a
+    /// panicking or non-finite expert (experts dispatch under a strict
+    /// [`ResilienceContext`]).
     pub fn forward_step(&self, token: u32, state: &mut DecodeState) -> Result<Vec<f32>> {
         if token as usize >= self.config.vocab {
             return Err(MoeError::InvalidToken { token, vocab: self.config.vocab });
         }
-        debug_assert_eq!(state.kv.len(), self.layers.len(), "state/model mismatch");
         let d = self.config.d_model;
-        debug_assert_eq!(state.d_model, d, "state built for a different model");
+        if (state.kv.len(), state.d_model) != (self.layers.len(), d) {
+            return Err(MoeError::DecodeStateMismatch {
+                state: (state.kv.len(), state.d_model),
+                model: (self.layers.len(), d),
+            });
+        }
+        let strict = ResilienceContext::strict();
 
         let mut x = Matrix::zeros(1, d);
         x.row_mut(0).copy_from_slice(self.embed.row(token as usize));
@@ -121,11 +131,7 @@ impl MoeModel {
                 *xv += av;
             }
 
-            let normed = rms_norm(&x);
-            let f = match &layer.ffn {
-                FfnBlock::Dense(mlp) => mlp.forward(&normed)?,
-                FfnBlock::Moe(moe) => moe.forward_counting(&normed, None)?,
-            };
+            let f = layer.ffn.forward(&rms_norm(&x), li, &strict, None)?;
             for (xv, fv) in x.row_mut(0).iter_mut().zip(f.row(0)) {
                 *xv += fv;
             }
@@ -232,6 +238,29 @@ mod tests {
         m.forward_step(2, &mut state).unwrap();
         assert_eq!(state.cache_bytes(), 2 * one);
         assert!(!state.is_empty());
+    }
+
+    #[test]
+    fn state_for_another_model_is_a_typed_error() {
+        let mut cfg = MoeConfig::tiny_mixtral();
+        cfg.n_layers = 2;
+        let two = MoeModel::synthesize(&cfg, 19);
+        cfg.n_layers = 4;
+        let four = MoeModel::synthesize(&cfg, 19);
+        let mut state = DecodeState::new(&two);
+        assert_eq!(
+            four.forward_step(1, &mut state),
+            Err(MoeError::DecodeStateMismatch { state: (2, 64), model: (4, 64) })
+        );
+        let mut wide_cfg = MoeConfig::tiny_mixtral();
+        wide_cfg.d_model = 128;
+        let mut wide = DecodeState::new(&MoeModel::synthesize(&wide_cfg, 19));
+        let m = model();
+        assert!(matches!(
+            m.forward_step(1, &mut wide),
+            Err(MoeError::DecodeStateMismatch { state: (_, 128), model: (_, 64) })
+        ));
+        assert!(wide.is_empty());
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! * [`attention`] — multi-head causal self-attention.
 //! * [`router`] — top-k softmax routing with per-expert bias.
 //! * [`model`] — the full transformer, synthesis, and the forward pass.
+//! * [`dispatch`] — the MoE expert-dispatch step, generic over the
+//!   expert type and shared with the packed engine.
 //! * [`profile`] — expert-activation-frequency profiling (paper Fig. 3).
 //! * [`tensors`] — enumeration of quantizable weights as
 //!   [`milo_core::LayerTensor`]s and substitution of compressed weights.
@@ -38,6 +40,7 @@ pub mod attention;
 pub mod capture;
 pub mod config;
 pub mod decode;
+pub mod dispatch;
 pub mod health;
 pub mod mlp;
 pub mod model;
@@ -50,6 +53,7 @@ pub mod tensors;
 pub use capture::{capture_activations, capture_layer_activations, ActivationStore};
 pub use config::MoeConfig;
 pub use decode::DecodeState;
+pub use dispatch::Expert;
 pub use health::{
     BreakerState, CancelToken, FaultKind, FaultMode, HealthTracker, InjectedFault,
     ResilienceContext,
@@ -94,6 +98,14 @@ pub enum MoeError {
         /// (`n_layers` = the pre-head check after the last layer).
         layer: usize,
     },
+    /// A [`DecodeState`] was stepped on a model with a different layer
+    /// count or width than the model it was built for.
+    DecodeStateMismatch {
+        /// `(n_layers, d_model)` the state was built for.
+        state: (usize, usize),
+        /// `(n_layers, d_model)` of the model it was stepped on.
+        model: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for MoeError {
@@ -111,6 +123,11 @@ impl std::fmt::Display for MoeError {
             MoeError::Cancelled { layer } => {
                 write!(f, "request cancelled at layer boundary {layer}")
             }
+            MoeError::DecodeStateMismatch { state, model } => write!(
+                f,
+                "decode state built for {} layers at d_model {}, stepped on {} layers at d_model {}",
+                state.0, state.1, model.0, model.1
+            ),
         }
     }
 }

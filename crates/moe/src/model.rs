@@ -2,370 +2,35 @@
 
 use crate::attention::{rms_norm, Attention};
 use crate::config::MoeConfig;
-use crate::health::{FaultKind, FaultMode, ResilienceContext};
+use crate::health::ResilienceContext;
 use crate::mlp::Mlp;
 use crate::router::Router;
 use crate::{MoeError, Result};
 use milo_tensor::rng::WeightDist;
-use milo_tensor::{pool, Matrix};
+use milo_tensor::Matrix;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 
-/// Records one token's routing entropy `-Σ g·ln g` (nats, stored ×1e6)
-/// into the `moe.gate_entropy_micro` histogram. Low entropy means the
-/// router is confident (mass on one expert); the paper's Fig. 3 skew
-/// shows up here as a depressed median.
-fn record_gate_entropy(routes: &[(usize, f32)]) {
-    let h: f64 = routes
-        .iter()
-        .map(|&(_, g)| {
-            let g = g as f64;
-            if g > 0.0 {
-                -g * g.ln()
-            } else {
-                0.0
-            }
-        })
-        .sum();
-    milo_obs::hist_record(
-        "moe.gate_entropy_micro",
-        (h * 1e6).round().max(0.0) as u64,
-        milo_obs::Unit::Micro,
-    );
-}
-
-/// Records per-expert routed-token counters for one layer pass and
-/// refreshes the layer's live load-skew gauge (max/mean of the
-/// *cumulative* per-expert counts — 1.0 is perfectly balanced; Fig. 3's
-/// imbalance pushes it up). `layer = None` (a bare [`MoeBlock`] outside
-/// a model stack) labels the metrics `layer=na`.
-fn record_routing_telemetry(layer: Option<usize>, assignment: &[Vec<(usize, f32)>]) {
-    if !milo_obs::enabled() || assignment.is_empty() {
-        return;
-    }
-    let label = layer.map(|l| l.to_string());
-    let lv = label.as_deref().unwrap_or("na");
-    let mut loads = Vec::with_capacity(assignment.len());
-    for (e, toks) in assignment.iter().enumerate() {
-        let key = milo_obs::metric_key(
-            "moe.expert_tokens",
-            &[("layer", lv), ("expert", &e.to_string())],
-        );
-        milo_obs::counter_add(&key, toks.len() as u64);
-        loads.push(milo_obs::counter_get(&key));
-    }
-    let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-    if mean > 0.0 {
-        let max = *loads.iter().max().expect("non-empty") as f64;
-        milo_obs::gauge_set(
-            &milo_obs::metric_key("moe.load_skew", &[("layer", lv)]),
-            max / mean,
-        );
-    }
-}
-
-/// The feed-forward part of a transformer layer.
+/// The feed-forward part of a transformer layer, generic over the expert
+/// type ([`Mlp`] here, packed experts in `milo-engine`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum FfnBlock {
+pub enum FfnBlock<E = Mlp> {
     /// A dense FFN (DeepSeek-MoE's first layer).
-    Dense(Mlp),
+    Dense(E),
     /// A routed mixture of experts.
-    Moe(MoeBlock),
+    Moe(MoeBlock<E>),
 }
 
 /// A mixture-of-experts FFN block: router, routed experts, and optional
-/// always-active shared experts.
+/// always-active shared experts; [`MoeBlock::dispatch`] runs it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MoeBlock {
+pub struct MoeBlock<E = Mlp> {
     /// The top-k router.
     pub router: Router,
     /// Routed experts.
-    pub experts: Vec<Mlp>,
+    pub experts: Vec<E>,
     /// Shared experts applied to every token (DeepSeek-style).
-    pub shared: Vec<Mlp>,
-}
-
-impl MoeBlock {
-    /// Applies the block to a batch of token vectors (`tokens × d`),
-    /// optionally recording per-expert activation counts.
-    ///
-    /// Experts are independent once the token→expert assignment is
-    /// built, so their batched GEMMs run concurrently on the
-    /// [`milo_tensor::pool`]; the weighted scatter-back into the output
-    /// stays serial in expert order, which keeps the result bit-identical
-    /// to the single-threaded path at every `MILO_THREADS` setting.
-    pub fn forward_counting(
-        &self,
-        x: &Matrix,
-        counts: Option<&mut [u64]>,
-    ) -> Result<Matrix> {
-        self.forward_counting_labeled(x, counts, None)
-    }
-
-    /// [`MoeBlock::forward_counting`] with an optional layer index used
-    /// only to label telemetry ([`MoeModel`] passes its layer number; the
-    /// block alone has no position in a stack).
-    fn forward_counting_labeled(
-        &self,
-        x: &Matrix,
-        mut counts: Option<&mut [u64]>,
-        layer: Option<usize>,
-    ) -> Result<Matrix> {
-        let (tokens, d) = x.shape();
-        let mut out = Matrix::zeros(tokens, d);
-        let telemetry = milo_obs::enabled();
-
-        // Group tokens by expert so each expert runs one batched GEMM —
-        // the same gather/scatter structure real MoE inference uses.
-        let mut assignment: Vec<Vec<(usize, f32)>> = vec![Vec::new(); self.experts.len()];
-        for t in 0..tokens {
-            let routes = self.router.route(x.row(t));
-            if telemetry {
-                record_gate_entropy(&routes);
-            }
-            for (e, gate) in routes {
-                assignment[e].push((t, gate));
-                if let Some(c) = counts.as_deref_mut() {
-                    c[e] += 1;
-                }
-            }
-        }
-        record_routing_telemetry(layer, &assignment);
-
-        // Parallel expert dispatch: gather + forward per expert, in
-        // index-ordered result slots.
-        let expert_outputs: Vec<Option<Result<Matrix>>> =
-            pool::par_map(self.experts.len(), |e| {
-                let toks = &assignment[e];
-                if toks.is_empty() {
-                    return None;
-                }
-                let mut sub = Matrix::zeros(toks.len(), d);
-                for (i, &(t, _)) in toks.iter().enumerate() {
-                    sub.row_mut(i).copy_from_slice(x.row(t));
-                }
-                Some(self.experts[e].forward(&sub))
-            });
-        // Deterministic scatter-back: expert order, then token order.
-        for (e, maybe) in expert_outputs.into_iter().enumerate() {
-            let Some(res) = maybe else { continue };
-            let y = res?;
-            for (i, &(t, gate)) in assignment[e].iter().enumerate() {
-                for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
-                    *o += gate * v;
-                }
-            }
-        }
-
-        let shared_outputs: Vec<Result<Matrix>> =
-            pool::par_map(self.shared.len(), |s| self.shared[s].forward(x));
-        for res in shared_outputs {
-            let y = res?;
-            for t in 0..tokens {
-                for (o, v) in out.row_mut(t).iter_mut().zip(y.row(t)) {
-                    *o += v;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Fault-tolerant variant of [`MoeBlock::forward_counting`]: experts
-    /// run behind panic isolation ([`pool::try_par_map`]), every expert
-    /// output is checked for non-finite values at the expert boundary,
-    /// and failures are handled per the context's [`FaultMode`]:
-    ///
-    /// * **Strict** — the first failure aborts the request with
-    ///   [`MoeError::ExpertFailed`] naming the layer, expert, and cause.
-    /// * **Degrade** — the expert is quarantined in the health tracker
-    ///   and, for every token that had routed to it, the surviving
-    ///   experts' gates are rescaled so the token keeps its original
-    ///   top-k probability mass. Tokens whose assigned experts all
-    ///   failed lose their routed contribution (shared experts and the
-    ///   residual stream still flow). Tokens untouched by the failure
-    ///   are bit-identical to the non-resilient path.
-    ///
-    /// Shared experts (indexed `n_experts + s` in the health ledger) get
-    /// the same guard; a failed shared expert is dropped without
-    /// rescaling since shared contributions are additive, not gated.
-    ///
-    /// Injected faults from the context fire when the matching expert is
-    /// dispatched, which is how the fault-injection harness exercises
-    /// these paths deterministically.
-    ///
-    /// # Errors
-    ///
-    /// Routing errors (dimension mismatch, non-finite router logits)
-    /// always propagate — a sick router poisons every expert, so there
-    /// is nothing to degrade to. Expert failures propagate only in
-    /// strict mode.
-    pub fn forward_resilient(
-        &self,
-        x: &Matrix,
-        layer: usize,
-        ctx: &ResilienceContext,
-    ) -> Result<Matrix> {
-        let (tokens, d) = x.shape();
-        let mut out = Matrix::zeros(tokens, d);
-        let n_experts = self.experts.len();
-
-        let telemetry = milo_obs::enabled();
-        let mut assignment: Vec<Vec<(usize, f32)>> = vec![Vec::new(); n_experts];
-        for t in 0..tokens {
-            let routes = self.router.try_route(x.row(t))?;
-            if telemetry {
-                record_gate_entropy(&routes);
-            }
-            for (e, gate) in routes {
-                assignment[e].push((t, gate));
-            }
-        }
-        record_routing_telemetry(Some(layer), &assignment);
-
-        let raw = pool::try_par_map(n_experts, |e| {
-            if assignment[e].is_empty() || ctx.health.is_failed(layer, e) {
-                return None;
-            }
-            match ctx.injected_kind(layer, e) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: expert {e} of layer {layer} killed mid-dispatch")
-                }
-                Some(FaultKind::Slow { millis }) => {
-                    ctx.sleep_interruptible(std::time::Duration::from_millis(millis));
-                }
-                _ => {}
-            }
-            let toks = &assignment[e];
-            let mut sub = Matrix::zeros(toks.len(), d);
-            for (i, &(t, _)) in toks.iter().enumerate() {
-                sub.row_mut(i).copy_from_slice(x.row(t));
-            }
-            let mut res = self.experts[e].forward(&sub);
-            if ctx.injected_kind(layer, e) == Some(FaultKind::NanOutput) {
-                if let Ok(y) = &mut res {
-                    y.row_mut(0)[0] = f32::NAN;
-                }
-            }
-            Some(res)
-        });
-
-        // Classify outcomes serially so quarantine order is deterministic.
-        let mut outputs: Vec<Option<Matrix>> = Vec::with_capacity(n_experts);
-        for (e, task) in raw.into_iter().enumerate() {
-            let outcome = match task {
-                Err(panic) => Err(panic.message),
-                Ok(None) => Ok(None),
-                Ok(Some(Err(err))) => Err(format!("tensor error: {err}")),
-                Ok(Some(Ok(y))) if !matrix_is_finite(&y) => {
-                    Err("non-finite output".to_string())
-                }
-                Ok(Some(Ok(y))) => Ok(Some(y)),
-            };
-            match outcome {
-                Ok(maybe) => {
-                    // A clean dispatch of a half-open expert is its
-                    // recovery probe passing; no-op for healthy experts.
-                    if maybe.is_some() {
-                        ctx.health.probe_succeeded(layer, e);
-                    }
-                    outputs.push(maybe);
-                }
-                Err(reason) => match ctx.mode {
-                    FaultMode::Strict => {
-                        return Err(MoeError::ExpertFailed { layer, expert: e, reason })
-                    }
-                    FaultMode::Degrade => {
-                        ctx.health.record(layer, e, reason);
-                        outputs.push(None);
-                    }
-                },
-            }
-        }
-
-        // Per-token full and surviving gate mass. A quarantined expert
-        // (this call or a previous one) contributes to `full` but not
-        // `alive`; healthy tokens have full == alive so their rescale
-        // factor is exactly 1 and the result stays bit-identical.
-        let mut full = vec![0f32; tokens];
-        let mut alive = vec![0f32; tokens];
-        for (e, toks) in assignment.iter().enumerate() {
-            let survived = outputs[e].is_some();
-            for &(t, g) in toks {
-                full[t] += g;
-                if survived {
-                    alive[t] += g;
-                }
-            }
-        }
-
-        for (e, maybe) in outputs.iter().enumerate() {
-            let Some(y) = maybe else { continue };
-            for (i, &(t, gate)) in assignment[e].iter().enumerate() {
-                let g = if alive[t] == full[t] { gate } else { gate * full[t] / alive[t] };
-                for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
-                    *o += g * v;
-                }
-            }
-        }
-
-        let shared_raw = pool::try_par_map(self.shared.len(), |s| {
-            let idx = n_experts + s;
-            if ctx.health.is_failed(layer, idx) {
-                return None;
-            }
-            match ctx.injected_kind(layer, idx) {
-                Some(FaultKind::Panic) => panic!(
-                    "injected fault: shared expert {s} of layer {layer} killed mid-dispatch"
-                ),
-                Some(FaultKind::Slow { millis }) => {
-                    ctx.sleep_interruptible(std::time::Duration::from_millis(millis));
-                }
-                _ => {}
-            }
-            let mut res = self.shared[s].forward(x);
-            if ctx.injected_kind(layer, idx) == Some(FaultKind::NanOutput) {
-                if let Ok(y) = &mut res {
-                    y.row_mut(0)[0] = f32::NAN;
-                }
-            }
-            Some(res)
-        });
-        for (s, task) in shared_raw.into_iter().enumerate() {
-            let idx = n_experts + s;
-            let outcome = match task {
-                Err(panic) => Err(panic.message),
-                Ok(None) => Ok(None),
-                Ok(Some(Err(err))) => Err(format!("tensor error: {err}")),
-                Ok(Some(Ok(y))) if !matrix_is_finite(&y) => {
-                    Err("non-finite output".to_string())
-                }
-                Ok(Some(Ok(y))) => Ok(Some(y)),
-            };
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(y)) => {
-                    ctx.health.probe_succeeded(layer, idx);
-                    for t in 0..tokens {
-                        for (o, v) in out.row_mut(t).iter_mut().zip(y.row(t)) {
-                            *o += v;
-                        }
-                    }
-                }
-                Err(reason) => match ctx.mode {
-                    FaultMode::Strict => {
-                        return Err(MoeError::ExpertFailed { layer, expert: idx, reason })
-                    }
-                    FaultMode::Degrade => ctx.health.record(layer, idx, reason),
-                },
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Whether every element of a matrix is finite.
-fn matrix_is_finite(m: &Matrix) -> bool {
-    m.as_slice().iter().all(|v| v.is_finite())
+    pub shared: Vec<E>,
 }
 
 /// One transformer layer: attention followed by the FFN block, both with
@@ -496,51 +161,20 @@ impl MoeModel {
     /// Runs the model over a token sequence, returning per-position
     /// logits (`seq × vocab`). Position `i`'s logits predict token
     /// `i + 1`. Optionally records expert activation counts per MoE
-    /// layer into `counts[layer][expert]`.
+    /// layer into `counts[layer][expert]`. Runs under a fresh
+    /// [`ResilienceContext::strict`], so a failing expert is an error.
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::InvalidToken`] for out-of-vocabulary ids and
-    /// [`MoeError::InvalidInput`] for an empty sequence.
+    /// Returns [`MoeError::InvalidToken`] for out-of-vocabulary ids,
+    /// [`MoeError::InvalidInput`] for an empty sequence, and
+    /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert.
     pub fn forward_counting(
         &self,
         tokens: &[u32],
-        mut counts: Option<&mut Vec<Vec<u64>>>,
+        counts: Option<&mut Vec<Vec<u64>>>,
     ) -> Result<Matrix> {
-        if tokens.is_empty() {
-            return Err(MoeError::InvalidInput("empty token sequence".into()));
-        }
-        let d = self.config.d_model;
-        let mut x = Matrix::zeros(tokens.len(), d);
-        for (i, &t) in tokens.iter().enumerate() {
-            if t as usize >= self.config.vocab {
-                return Err(MoeError::InvalidToken { token: t, vocab: self.config.vocab });
-            }
-            x.row_mut(i).copy_from_slice(self.embed.row(t as usize));
-        }
-
-        for (li, layer) in self.layers.iter().enumerate() {
-            let _span = milo_obs::span(|| format!("moe.layer{{layer={li}}}"));
-            let a = layer.attn.forward(&rms_norm(&x))?;
-            x = x.add(&a)?;
-            let normed = rms_norm(&x);
-            let f = match &layer.ffn {
-                FfnBlock::Dense(mlp) => mlp.forward(&normed)?,
-                FfnBlock::Moe(moe) => {
-                    let slot = counts.as_deref_mut().map(|c| &mut c[li]);
-                    moe.forward_counting_labeled(
-                        &normed,
-                        slot.map(|v| v.as_mut_slice()),
-                        Some(li),
-                    )?
-                }
-            };
-            x = x.add(&f)?;
-        }
-
-        let final_x = rms_norm(&x);
-        let logits = final_x.matmul(&self.head.transpose())?;
-        Ok(logits.scale(self.config.head_gain / (d as f32).sqrt()))
+        self.run(tokens, &ResilienceContext::strict(), counts)
     }
 
     /// Runs the model over a token sequence, returning per-position
@@ -553,20 +187,31 @@ impl MoeModel {
         self.forward_counting(tokens, None)
     }
 
-    /// Fault-tolerant forward pass: MoE blocks dispatch through
-    /// [`MoeBlock::forward_resilient`], so a panicking or NaN-producing
-    /// expert either fails the request with a typed
-    /// [`MoeError::ExpertFailed`] (strict) or is quarantined while the
-    /// router's top-k mass renormalizes over the survivors (degrade).
+    /// Fault-tolerant forward pass: a panicking or NaN-producing expert
+    /// either fails the request with a typed [`MoeError::ExpertFailed`]
+    /// (strict) or is quarantined while the router's top-k mass
+    /// renormalizes over the survivors (degrade); see
+    /// [`MoeBlock::dispatch`]. The context's cancel token is checked at
+    /// every layer boundary.
     ///
     /// # Errors
     ///
-    /// See [`MoeModel::forward_counting`] and
-    /// [`MoeBlock::forward_resilient`].
+    /// See [`MoeModel::forward_counting`]; also
+    /// [`MoeError::Cancelled`] once the context is cancelled.
     pub fn forward_resilient(
         &self,
         tokens: &[u32],
         ctx: &ResilienceContext,
+    ) -> Result<Matrix> {
+        self.run(tokens, ctx, None)
+    }
+
+    /// The batch layer loop behind every forward entry point.
+    fn run(
+        &self,
+        tokens: &[u32],
+        ctx: &ResilienceContext,
+        mut counts: Option<&mut Vec<Vec<u64>>>,
     ) -> Result<Matrix> {
         if tokens.is_empty() {
             return Err(MoeError::InvalidInput("empty token sequence".into()));
@@ -590,11 +235,8 @@ impl MoeModel {
             let _span = milo_obs::span(|| format!("moe.layer{{layer={li}}}"));
             let a = layer.attn.forward(&rms_norm(&x))?;
             x = x.add(&a)?;
-            let normed = rms_norm(&x);
-            let f = match &layer.ffn {
-                FfnBlock::Dense(mlp) => mlp.forward(&normed)?,
-                FfnBlock::Moe(moe) => moe.forward_resilient(&normed, li, ctx)?,
-            };
+            let slot = counts.as_deref_mut().map(|c| c[li].as_mut_slice());
+            let f = layer.ffn.forward(&rms_norm(&x), li, ctx, slot)?;
             x = x.add(&f)?;
         }
         if ctx.is_cancelled() {
@@ -687,7 +329,8 @@ pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut StdRng) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milo_tensor::stats;
+    use crate::health::FaultKind;
+    use milo_tensor::{pool, stats};
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -842,6 +485,24 @@ mod tests {
         let strict = ResilienceContext::strict().with_fault(fault);
         match m.forward_resilient(&seq, &strict) {
             Err(MoeError::ExpertFailed { layer: 0, expert, reason }) => {
+                assert_eq!(expert, busiest);
+                assert!(reason.contains("non-finite"), "reason = {reason}");
+            }
+            other => panic!("expected ExpertFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plain_forward_names_a_nan_expert_instead_of_returning_nan_logits() {
+        let mut m = MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 14);
+        let seq = [1u32, 4, 9, 16];
+        let mut counts = m.fresh_counts();
+        m.forward_counting(&seq, Some(&mut counts)).unwrap();
+        let busiest = (0..counts[1].len()).max_by_key(|&e| counts[1][e]).unwrap();
+        let FfnBlock::Moe(moe) = &mut m.layers[1].ffn else { panic!("layer 1 is MoE") };
+        moe.experts[busiest].w2.row_mut(0)[0] = f32::NAN;
+        match m.forward(&seq) {
+            Err(MoeError::ExpertFailed { layer: 1, expert, reason }) => {
                 assert_eq!(expert, busiest);
                 assert!(reason.contains("non-finite"), "reason = {reason}");
             }

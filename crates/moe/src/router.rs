@@ -47,24 +47,9 @@ impl Router {
     /// pairs for the top-k experts. Gate weights are softmax-normalized
     /// over the selected experts and sum to 1.
     ///
-    /// # Panics
-    ///
-    /// Panics if the token dimension does not match the router weight
-    /// width (a structural invariant of a well-formed model). Use
-    /// [`Router::try_route`] for the fallible variant that also rejects
-    /// non-finite routing logits.
-    pub fn route(&self, x: &[f32]) -> Vec<(usize, f32)> {
-        let logits = self
-            .weight
-            .matvec(x)
-            .expect("router weight width matches token dim");
-        self.select(&logits)
-    }
-
-    /// Fallible routing: returns a typed error instead of panicking on a
-    /// dimension mismatch, and rejects non-finite routing logits (a NaN
-    /// or Inf activation reaching the router would otherwise silently
-    /// poison every gate weight downstream).
+    /// A dimension mismatch is a typed error, and non-finite routing
+    /// logits are rejected (a NaN or Inf activation reaching the router
+    /// would otherwise silently poison every gate weight downstream).
     ///
     /// # Errors
     ///
@@ -82,15 +67,9 @@ impl Router {
         Ok(self.pick_top_k(&logits))
     }
 
-    fn select(&self, base: &[f32]) -> Vec<(usize, f32)> {
-        let logits: Vec<f32> =
-            base.iter().zip(&self.bias).map(|(l, b)| l + b).collect();
-        self.pick_top_k(&logits)
-    }
-
     /// Top-k selection + softmax over the selected logits. Uses a total
-    /// order so a stray NaN cannot panic the comparator (NaNs sort
-    /// deterministically; `try_route` screens them out before this).
+    /// order so a stray NaN cannot panic the comparator (`try_route`
+    /// screens them out before this).
     fn pick_top_k(&self, logits: &[f32]) -> Vec<(usize, f32)> {
         let mut order: Vec<usize> = (0..logits.len()).collect();
         order.sort_by(|&a, &b| logits[b].total_cmp(&logits[a]));
@@ -121,7 +100,7 @@ mod tests {
     fn gates_sum_to_one() {
         let r = router(8, 16, 2, 0.0, 1);
         let x = vec![0.3; 16];
-        let routes = r.route(&x);
+        let routes = r.try_route(&x).unwrap();
         assert_eq!(routes.len(), 2);
         let total: f32 = routes.iter().map(|(_, g)| g).sum();
         assert!((total - 1.0).abs() < 1e-5);
@@ -132,7 +111,7 @@ mod tests {
         // Identity-ish weight: logits = x (padded); biggest coordinates win.
         let w = Matrix::identity(4);
         let r = Router::new(w, vec![0.0; 4], 2);
-        let routes = r.route(&[0.1, 5.0, -2.0, 3.0]);
+        let routes = r.try_route(&[0.1, 5.0, -2.0, 3.0]).unwrap();
         let chosen: Vec<usize> = routes.iter().map(|&(i, _)| i).collect();
         assert_eq!(chosen, vec![1, 3]);
         assert!(routes[0].1 > routes[1].1);
@@ -146,14 +125,14 @@ mod tests {
         for _ in 0..20 {
             let x: Vec<f32> =
                 (0..8).map(|_| WeightDist::Gaussian { std: 1.0 }.sample(&mut rng)).collect();
-            assert_eq!(r.route(&x)[0].0, 0, "biased expert must always win");
+            assert_eq!(r.try_route(&x).unwrap()[0].0, 0, "biased expert must always win");
         }
     }
 
     #[test]
     fn distinct_experts_selected() {
         let r = router(8, 16, 3, 0.5, 4);
-        let routes = r.route(&vec![0.7; 16]);
+        let routes = r.try_route(&[0.7; 16]).unwrap();
         let mut idx: Vec<usize> = routes.iter().map(|&(i, _)| i).collect();
         idx.sort_unstable();
         idx.dedup();
@@ -164,13 +143,6 @@ mod tests {
     #[should_panic(expected = "invalid top_k")]
     fn zero_top_k_panics() {
         let _ = Router::new(Matrix::zeros(4, 8), vec![0.0; 4], 0);
-    }
-
-    #[test]
-    fn try_route_matches_route_on_healthy_input() {
-        let r = router(8, 16, 2, 0.5, 9);
-        let x = vec![0.4; 16];
-        assert_eq!(r.try_route(&x).unwrap(), r.route(&x));
     }
 
     #[test]

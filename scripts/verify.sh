@@ -22,6 +22,10 @@
 #    server; the soak itself asserts the invariants (no escaped panics,
 #    bounded queue, every request resolved by deadline+ε, breakers
 #    recover) and exits nonzero on the first violation.
+# 7. Benchmark package tests: builds `perfbench/` (its own workspace,
+#    path dependencies on crates/*) and runs its unit tests, so a change
+#    to the engine API or the metric names the benchmark reads fails
+#    here rather than at benchmark time.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -153,3 +157,7 @@ echo "ok: telemetry traces validated for quantize and stats (MILO_TELEMETRY=trac
 # violation, printing the seed so it reproduces exactly.
 "$cli" soak --quick --seed 7 >/dev/null
 echo "ok: quick serving soak held all invariants (seed 7)"
+
+# --- 7. Benchmark package tests --------------------------------------------
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml >/dev/null
+echo "ok: perfbench builds against the workspace and its tests pass"

@@ -1,7 +1,7 @@
 //! Cross-crate determinism suite for the threading PR: every parallel
 //! path (dense matmul, fused/unfused packed GEMM, `PackedLinear`
-//! including its dense fallback, the full packed engine forward) must be
-//! **bit-identical** at every thread count. The pool's static contiguous
+//! including its dense fallback, the full packed engine forward and its
+//! decode loop) must be **bit-identical** at every thread count. The pool's static contiguous
 //! chunking plus unchanged per-element FP32 accumulation order makes the
 //! guarantee exact equality, not tolerance-based closeness.
 //!
@@ -10,7 +10,7 @@
 //! under cargo's parallel test runner.
 
 use milo::core::{compress_model, milo_compress, MiloOptions, RankPolicy};
-use milo::engine::{PackedLinear, PackedMoeModel};
+use milo::engine::{PackedDecodeState, PackedLinear, PackedMoeModel};
 use milo::moe::{layer_tensors, MoeConfig, MoeModel};
 use milo::pack::{GemmKernel, PackedMatrix, TileShape};
 use milo::quant::{rtn_quantize, QuantConfig};
@@ -82,22 +82,96 @@ fn packed_linear_identical_including_dense_fallback() {
     }
 }
 
-#[test]
-fn packed_engine_forward_identical_across_thread_counts() {
-    let mut cfg = MoeConfig::tiny_mixtral();
-    cfg.n_layers = 2;
-    let reference = MoeModel::synthesize(&cfg, 57);
+/// A packed engine over a freshly synthesized `cfg` model (rank-2 MiLo,
+/// one alternation).
+fn packed_engine(cfg: &MoeConfig, seed: u64) -> PackedMoeModel {
+    let reference = MoeModel::synthesize(cfg, seed);
     let tensors = layer_tensors(&reference, None);
     let opts = MiloOptions { max_iters: 1, ..MiloOptions::default() };
     let compressed =
         compress_model(&tensors, &RankPolicy::uniform(2), &opts, 2).unwrap();
-    let engine = PackedMoeModel::build(&reference, &compressed).unwrap();
+    PackedMoeModel::build(&reference, &compressed).unwrap()
+}
+
+/// Tiny-Mixtral widened so every projection is tileable: the whole
+/// engine runs on the fused packed kernel.
+fn tileable_config() -> MoeConfig {
+    let mut cfg = MoeConfig::tiny_mixtral();
+    cfg.n_layers = 2;
+    cfg.d_model = 128;
+    cfg.expert_ffn = 256;
+    cfg.n_heads = 2;
+    cfg
+}
+
+#[test]
+fn packed_engine_forward_identical_across_thread_counts() {
+    let mut cfg = MoeConfig::tiny_mixtral();
+    cfg.n_layers = 2;
+    let engine = packed_engine(&cfg, 57);
     let tokens: Vec<u32> = (0..16).map(|i| (i * 5) % cfg.vocab as u32).collect();
 
     let serial = pool::with_threads(1, || engine.forward(&tokens).unwrap());
     for threads in SWEEP {
         let par = pool::with_threads(threads, || engine.forward(&tokens).unwrap());
         assert_eq!(serial, par, "engine forward diverged at {threads} threads");
+    }
+
+    // Fully packed: the batch forward and the decode loop (prefill, then
+    // one forward_step per token) are both thread-count invariant.
+    let engine = packed_engine(&tileable_config(), 57);
+    assert_eq!(engine.packed_fraction(), 1.0);
+    let decode = |threads: usize| {
+        pool::with_threads(threads, || {
+            let mut state = PackedDecodeState::new(&engine);
+            let mut logits = vec![engine.prefill(&tokens[..5], &mut state).unwrap()];
+            for &t in &tokens[5..] {
+                logits.push(engine.forward_step(t, &mut state).unwrap());
+            }
+            logits
+        })
+    };
+    let serial = pool::with_threads(1, || engine.forward(&tokens).unwrap());
+    let serial_decode = decode(1);
+    for threads in SWEEP {
+        let par = pool::with_threads(threads, || engine.forward(&tokens).unwrap());
+        assert_eq!(serial, par, "packed forward diverged at {threads} threads");
+        assert_eq!(serial_decode, decode(threads), "packed decode diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn plain_and_resilient_forwards_identical_across_thread_counts() {
+    // Plain forward is the resilient forward under a strict context; on
+    // healthy experts degrade mode must not perturb a single bit either.
+    // DeepSeek-like covers the dense first layer and shared experts.
+    use milo::moe::ResilienceContext;
+
+    let cfg = MoeConfig::tiny_deepseek();
+    let reference = MoeModel::synthesize(&cfg, 58);
+    let engine = packed_engine(&tileable_config(), 58);
+    let tokens: Vec<u32> = (0..12).map(|i| (i * 7) % 64).collect();
+    let serial = pool::with_threads(1, || reference.forward(&tokens).unwrap());
+    let serial_packed = pool::with_threads(1, || engine.forward(&tokens).unwrap());
+    for threads in SWEEP {
+        pool::with_threads(threads, || {
+            for ctx in [ResilienceContext::strict(), ResilienceContext::degrade()] {
+                let mode = ctx.mode;
+                assert_eq!(serial, reference.forward(&tokens).unwrap(), "{threads} threads");
+                assert_eq!(
+                    serial,
+                    reference.forward_resilient(&tokens, &ctx).unwrap(),
+                    "reference {mode:?} at {threads} threads"
+                );
+                assert_eq!(serial_packed, engine.forward(&tokens).unwrap(), "{threads} threads");
+                assert_eq!(
+                    serial_packed,
+                    engine.forward_resilient(&tokens, &ctx).unwrap(),
+                    "engine {mode:?} at {threads} threads"
+                );
+                assert_eq!(ctx.health.n_failed(), 0);
+            }
+        });
     }
 }
 
@@ -114,12 +188,7 @@ fn fault_free_serving_identical_to_direct_forward() {
 
     let mut cfg = MoeConfig::tiny_mixtral();
     cfg.n_layers = 2;
-    let reference = MoeModel::synthesize(&cfg, 57);
-    let tensors = layer_tensors(&reference, None);
-    let opts = MiloOptions { max_iters: 1, ..MiloOptions::default() };
-    let compressed =
-        compress_model(&tensors, &RankPolicy::uniform(2), &opts, 2).unwrap();
-    let engine = Arc::new(PackedMoeModel::build(&reference, &compressed).unwrap());
+    let engine = Arc::new(packed_engine(&cfg, 57));
 
     let prompts: Vec<Vec<u32>> = (0..6)
         .map(|p| (0..8).map(|i| ((p * 11 + i * 5) % cfg.vocab) as u32).collect())
