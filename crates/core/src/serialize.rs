@@ -9,7 +9,7 @@
 //! Since version 2 every layer record is a *checksummed section*
 //! (`u64` length + CRC-32 + payload, see [`milo_tensor::io`]): a flipped
 //! bit or a truncated file is reported as a typed
-//! [`CorruptSection`](milo_tensor::io::CorruptSection) error naming the
+//! [`CorruptSection`] error naming the
 //! offending layer, never as silently-garbage weights. Version 1
 //! artifacts (no checksums) are still read.
 

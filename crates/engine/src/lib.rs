@@ -3,7 +3,10 @@
 //!
 //! The evaluation path in `milo-moe` reconstructs dense FP32 weights
 //! before running; this crate instead keeps every quantizable projection
-//! in its *deployment* form and computes with it directly:
+//! in its *deployment* form ([`PackedLinear`]) and computes with it
+//! directly. [`PackedMoeModel`] is the `milo-moe` transformer
+//! instantiated with that projection type, so it runs the same layer
+//! loop, KV cache, and expert dispatch as the reference:
 //!
 //! * weights stay in the zero-bit-waste packed INT3 layout and flow
 //!   through the fused dequant+GEMM kernel of `milo-pack`;
@@ -19,13 +22,14 @@
 
 #![warn(missing_docs)]
 
-pub mod decode;
 pub mod linear;
 pub mod model;
 
-pub use decode::PackedDecodeState;
 pub use linear::PackedLinear;
 pub use model::PackedMoeModel;
+
+/// Per-layer key/value caches for one packed decoding stream.
+pub type PackedDecodeState = milo_moe::DecodeState;
 
 /// Errors produced by the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,14 +89,18 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Dispatch failures from [`milo_moe::MoeBlock::dispatch`]: an expert
-/// failure keeps its typed variant; anything else (routing) is a run
-/// error.
+/// Failures of the shared layer loop: expert failures, cancellations,
+/// and state mismatches keep their typed variants; anything else (bad
+/// tokens, empty input, routing) is a run error.
 impl From<milo_moe::MoeError> for EngineError {
     fn from(e: milo_moe::MoeError) -> Self {
         match e {
             milo_moe::MoeError::ExpertFailed { layer, expert, reason } => {
                 EngineError::ExpertFailed { layer, expert, reason }
+            }
+            milo_moe::MoeError::Cancelled { layer } => EngineError::Cancelled { layer },
+            milo_moe::MoeError::DecodeStateMismatch { state, model } => {
+                EngineError::DecodeStateMismatch { state, model }
             }
             other => EngineError::Run(other.to_string()),
         }

@@ -4,6 +4,7 @@
 
 use crate::{EngineError, Result};
 use milo_core::{CompressedLayer, Compensator};
+use milo_moe::Linear;
 use milo_pack::{GemmKernel, Packed4Matrix, PackedMatrix, TileShape};
 use milo_tensor::Matrix;
 
@@ -140,6 +141,15 @@ impl PackedLinear {
                 .map_err(|e| EngineError::Run(format!("compensator add failed: {e}")))?;
         }
         Ok(y)
+    }
+}
+
+impl Linear for PackedLinear {
+    const METRIC_PREFIX: &'static str = "engine";
+    type Error = EngineError;
+
+    fn forward(&self, x: &Matrix) -> Result<Matrix> {
+        PackedLinear::forward(self, x)
     }
 }
 

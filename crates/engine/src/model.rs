@@ -1,71 +1,30 @@
-//! The packed MoE model: the full transformer running on deployment-form
+//! The packed MoE model: the `milo-moe` transformer on deployment-form
 //! weights.
 
 use crate::linear::PackedLinear;
 use crate::{EngineError, Result};
 use milo_core::CompressedModel;
-use milo_moe::attention::{attend, rms_norm};
-use milo_moe::health::ResilienceContext;
-use milo_moe::mlp::silu;
-use milo_moe::{Expert, FfnBlock, MoeBlock, MoeModel};
-use milo_tensor::Matrix;
-
-/// A SwiGLU block on packed projections.
-#[derive(Debug, Clone, PartialEq)]
-struct PackedMlp {
-    w1: PackedLinear,
-    w2: PackedLinear,
-    w3: PackedLinear,
-}
-
-impl Expert for PackedMlp {
-    const METRIC_PREFIX: &'static str = "engine";
-    type Error = EngineError;
-
-    fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let gate = self.w1.forward(x)?;
-        let up = self.w3.forward(x)?;
-        let h = Matrix::from_fn(gate.rows(), gate.cols(), |r, c| silu(gate[(r, c)]) * up[(r, c)]);
-        self.w2.forward(&h)
-    }
-}
-
-/// One packed transformer layer.
-#[derive(Debug, Clone, PartialEq)]
-struct PackedLayer {
-    wq: PackedLinear,
-    wk: PackedLinear,
-    wv: PackedLinear,
-    wo: PackedLinear,
-    n_heads: usize,
-    ffn: FfnBlock<PackedMlp>,
-}
-
-impl PackedLayer {
-    /// Every projection of the layer: attention, then the FFN's SwiGLU
-    /// blocks (the dense block, or the routed then the shared experts).
-    fn projections(&self) -> impl Iterator<Item = &PackedLinear> {
-        let mlps: Vec<&PackedMlp> = match &self.ffn {
-            FfnBlock::Dense(m) => vec![m],
-            FfnBlock::Moe(moe) => moe.experts.iter().chain(&moe.shared).collect(),
-        };
-        [&self.wq, &self.wk, &self.wv, &self.wo]
-            .into_iter()
-            .chain(mlps.into_iter().flat_map(|m| [&m.w1, &m.w2, &m.w3]))
-    }
-}
+use milo_moe::MoeModel;
+use std::ops::Deref;
 
 /// A complete MoE model in deployment form: packed INT3 projections,
 /// low-rank compensators applied as skinny GEMMs, FP32 routers /
 /// embeddings / head.
+///
+/// It dereferences to the generic [`MoeModel`] over [`PackedLinear`],
+/// whose `forward`, `forward_resilient`, `prefill`, and `forward_step`
+/// run it — numerically equivalent (to FP16 rounding) to evaluating the
+/// reconstructed dense model, with errors as [`EngineError`] and
+/// telemetry under the `engine.` prefix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PackedMoeModel {
-    embed: Matrix,
-    head: Matrix,
-    head_gain: f32,
-    vocab: usize,
-    d_model: usize,
-    layers: Vec<PackedLayer>,
+pub struct PackedMoeModel(MoeModel<PackedLinear>);
+
+impl Deref for PackedMoeModel {
+    type Target = MoeModel<PackedLinear>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl PackedMoeModel {
@@ -78,210 +37,44 @@ impl PackedMoeModel {
     /// Returns [`EngineError::Mismatch`] if a layer of the reference has
     /// no counterpart in `compressed`.
     pub fn build(reference: &MoeModel, compressed: &CompressedModel) -> Result<Self> {
-        let lin = |name: String| -> Result<PackedLinear> {
+        let model = reference.try_map(|name, _, _| {
             let rec = compressed
-                .layer(&name)
+                .layer(name)
                 .ok_or_else(|| EngineError::Mismatch(format!("missing layer {name}")))?;
             PackedLinear::build(&rec.layer)
-        };
-        let mlp = |prefix: String| -> Result<PackedMlp> {
-            Ok(PackedMlp {
-                w1: lin(format!("{prefix}.w1"))?,
-                w2: lin(format!("{prefix}.w2"))?,
-                w3: lin(format!("{prefix}.w3"))?,
-            })
-        };
-
-        let mut layers = Vec::with_capacity(reference.layers.len());
-        for (li, layer) in reference.layers.iter().enumerate() {
-            let ffn = match &layer.ffn {
-                FfnBlock::Dense(_) => FfnBlock::Dense(mlp(format!("layer{li}.dense"))?),
-                FfnBlock::Moe(moe) => FfnBlock::Moe(MoeBlock {
-                    router: moe.router.clone(),
-                    experts: (0..moe.experts.len())
-                        .map(|e| mlp(format!("layer{li}.expert{e}")))
-                        .collect::<Result<_>>()?,
-                    shared: (0..moe.shared.len())
-                        .map(|s| mlp(format!("layer{li}.shared{s}")))
-                        .collect::<Result<_>>()?,
-                }),
-            };
-            layers.push(PackedLayer {
-                wq: lin(format!("layer{li}.attn.wq"))?,
-                wk: lin(format!("layer{li}.attn.wk"))?,
-                wv: lin(format!("layer{li}.attn.wv"))?,
-                wo: lin(format!("layer{li}.attn.wo"))?,
-                n_heads: layer.attn.n_heads(),
-                ffn,
-            });
-        }
-        Ok(Self {
-            embed: reference.embed.clone(),
-            head: reference.head.clone(),
-            head_gain: reference.config.head_gain,
-            vocab: reference.config.vocab,
-            d_model: reference.config.d_model,
-            layers,
-        })
-    }
-
-    /// Runs the model over a token sequence, returning per-position
-    /// logits (`seq × vocab`), numerically equivalent (to FP16 rounding)
-    /// to evaluating the reconstructed dense model. Runs under a fresh
-    /// [`ResilienceContext::strict`], so a failing expert is an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Run`] for invalid tokens or empty input and
-    /// [`EngineError::ExpertFailed`] for a panicking or non-finite expert.
-    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix> {
-        self.forward_resilient(tokens, &ResilienceContext::strict())
-    }
-
-    /// Fault-tolerant forward pass on packed weights: experts dispatch
-    /// through [`MoeBlock::dispatch`], so failures follow the context's
-    /// [`FaultMode`](milo_moe::FaultMode) — typed
-    /// [`EngineError::ExpertFailed`] in strict mode, quarantine + top-k
-    /// mass renormalization over the surviving experts in degrade mode.
-    /// The context's cancel token is checked at every layer boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Run`] for invalid tokens, empty input, or
-    /// routing failures (a sick router cannot be degraded around),
-    /// [`EngineError::ExpertFailed`] for an expert failure in strict
-    /// mode, and [`EngineError::Cancelled`] once the context is
-    /// cancelled.
-    pub fn forward_resilient(
-        &self,
-        tokens: &[u32],
-        ctx: &ResilienceContext,
-    ) -> Result<Matrix> {
-        let _span = milo_obs::span(|| "engine.forward".into());
-        if tokens.is_empty() {
-            return Err(EngineError::Run("empty token sequence".into()));
-        }
-        let mut x = Matrix::zeros(tokens.len(), self.d_model);
-        for (i, &t) in tokens.iter().enumerate() {
-            if t as usize >= self.vocab {
-                return Err(EngineError::Run(format!("token {t} out of vocabulary")));
-            }
-            x.row_mut(i).copy_from_slice(self.embed.row(t as usize));
-        }
-
-        for li in 0..self.layers.len() {
-            if ctx.is_cancelled() {
-                return Err(EngineError::Cancelled { layer: li });
-            }
-            let _span = milo_obs::span(|| format!("engine.layer{{layer={li}}}"));
-            let normed = rms_norm(&x);
-            let a = {
-                let _attn = milo_obs::span(|| "engine.attn".into());
-                let (q, k, v) = self.project_qkv(li, &normed)?;
-                let attn_ctx = attend(&q, &k, &v, self.layers[li].n_heads);
-                self.project_out(li, &attn_ctx)?
-            };
-            x = x.add(&a).map_err(|e| EngineError::Run(e.to_string()))?;
-
-            let normed = rms_norm(&x);
-            let f = {
-                let _ffn = milo_obs::span(|| "engine.ffn".into());
-                self.ffn(li, &normed, ctx)?
-            };
-            x = x.add(&f).map_err(|e| EngineError::Run(e.to_string()))?;
-        }
-        if ctx.is_cancelled() {
-            return Err(EngineError::Cancelled { layer: self.layers.len() });
-        }
-
-        let final_x = rms_norm(&x);
-        let logits = final_x
-            .matmul(&self.head.transpose())
-            .map_err(|e| EngineError::Run(e.to_string()))?;
-        Ok(logits.scale(self.head_gain / (self.d_model as f32).sqrt()))
+        })?;
+        Ok(Self(model))
     }
 
     /// Deployment memory of the quantized projections in bytes (routers,
     /// embeddings, and head — kept FP16 by the paper's backend — are
     /// *not* included, matching the paper's memory columns).
     pub fn memory_bytes(&self) -> usize {
-        self.layers.iter().flat_map(PackedLayer::projections).map(PackedLinear::memory_bytes).sum()
-    }
-
-    /// Number of transformer layers.
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Model (residual stream) dimension.
-    pub fn d_model(&self) -> usize {
-        self.d_model
+        self.projections().into_iter().map(|(_, _, l)| l.memory_bytes()).sum()
     }
 
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding row for a token id (used by the decode loop).
-    pub(crate) fn embed_row(&self, token: usize) -> &[f32] {
-        self.embed.row(token)
-    }
-
-    /// Attention heads of layer `li`.
-    pub(crate) fn layer_heads(&self, li: usize) -> usize {
-        self.layers[li].n_heads
-    }
-
-    /// Runs the q/k/v projections of layer `li`.
-    pub(crate) fn project_qkv(
-        &self,
-        li: usize,
-        x: &Matrix,
-    ) -> Result<(Matrix, Matrix, Matrix)> {
-        let l = &self.layers[li];
-        Ok((l.wq.forward(x)?, l.wk.forward(x)?, l.wv.forward(x)?))
-    }
-
-    /// Runs the output projection of layer `li`.
-    pub(crate) fn project_out(&self, li: usize, ctx: &Matrix) -> Result<Matrix> {
-        self.layers[li].wo.forward(ctx)
-    }
-
-    /// Runs the FFN block of layer `li` on a batch of token rows.
-    pub(crate) fn ffn(&self, li: usize, x: &Matrix, ctx: &ResilienceContext) -> Result<Matrix> {
-        self.layers[li].ffn.forward(x, li, ctx, None)
-    }
-
-    /// Projects a single residual row to logits (norm + head + gain).
-    pub(crate) fn project_logits(&self, x: &Matrix) -> Result<Vec<f32>> {
-        let final_x = milo_moe::attention::rms_norm(x);
-        let logits = final_x
-            .matmul(&self.head.transpose())
-            .map_err(|e| EngineError::Run(format!("head projection: {e}")))?;
-        let gain = self.head_gain / (self.d_model as f32).sqrt();
-        Ok(logits.row(0).iter().map(|&l| l * gain).collect())
+        self.config.vocab
     }
 
     /// Fraction of projections served by the packed kernel (the rest use
     /// the dense fallback because of tile-shape constraints).
     pub fn packed_fraction(&self) -> f32 {
-        let (packed, total) = self
-            .layers
-            .iter()
-            .flat_map(PackedLayer::projections)
-            .fold((0usize, 0usize), |(p, t), l| (p + usize::from(l.uses_packed_kernel()), t + 1));
-        packed as f32 / total.max(1) as f32
+        let projections = self.projections();
+        let packed = projections.iter().filter(|(_, _, l)| l.uses_packed_kernel()).count();
+        packed as f32 / projections.len().max(1) as f32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use milo_core::{compress_model, MiloOptions, RankPolicy};
-    use milo_moe::{apply_compressed, layer_tensors, MoeConfig};
+    use crate::PackedDecodeState;
+    use milo_core::{compress_model, Compensator, LowRankCompensator, MiloOptions, RankPolicy};
+    use milo_moe::{apply_compressed, layer_tensors, MoeConfig, ResilienceContext};
     use milo_quant::HqqOptions;
-    use milo_tensor::stats;
+    use milo_tensor::{stats, Matrix};
 
     fn build_pair(rank: usize) -> (MoeModel, CompressedModel) {
         // d=128, experts 128-wide: every projection is tileable, so the
@@ -397,5 +190,102 @@ mod tests {
             PackedMoeModel::build(&reference, &compressed),
             Err(EngineError::Mismatch(_))
         ));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The decode tests' engine: tileable, rank 4, one compression thread.
+    fn engine() -> (MoeModel, PackedMoeModel) {
+        let mut cfg = MoeConfig::tiny_mixtral();
+        cfg.d_model = 128;
+        cfg.expert_ffn = 256;
+        cfg.n_layers = 2;
+        let reference = MoeModel::synthesize(&cfg, 41);
+        let tensors = layer_tensors(&reference, None);
+        let opts = MiloOptions { max_iters: 1, ..MiloOptions::default() };
+        let compressed = compress_model(&tensors, &RankPolicy::uniform(4), &opts, 1).unwrap();
+        let packed = PackedMoeModel::build(&reference, &compressed).unwrap();
+        (reference, packed)
+    }
+
+    #[test]
+    fn stepped_logits_match_batch_engine_forward() {
+        let (_, packed) = engine();
+        let tokens = [2u32, 11, 40, 5];
+        let batch = packed.forward(&tokens).unwrap();
+        let mut state = PackedDecodeState::new(&packed);
+        for (i, &t) in tokens.iter().enumerate() {
+            let step = packed.forward_step(t, &mut state).unwrap();
+            assert_eq!(bits(&step), bits(batch.row(i)), "position {i}");
+        }
+        assert_eq!(state.len(), 4);
+    }
+
+    #[test]
+    fn state_for_another_width_is_a_typed_error() {
+        let (_, wide) = engine();
+        let mut cfg = MoeConfig::tiny_mixtral();
+        cfg.n_layers = 2;
+        let narrow_ref = MoeModel::synthesize(&cfg, 42);
+        let tensors = layer_tensors(&narrow_ref, None);
+        let opts = MiloOptions { max_iters: 1, ..MiloOptions::default() };
+        let compressed = compress_model(&tensors, &RankPolicy::uniform(0), &opts, 1).unwrap();
+        let narrow = PackedMoeModel::build(&narrow_ref, &compressed).unwrap();
+
+        // Same depth, different width: the 128-wide cache must not be
+        // extended with 64-wide keys.
+        let mut state = PackedDecodeState::new(&wide);
+        wide.forward_step(1, &mut state).unwrap();
+        assert_eq!(
+            narrow.forward_step(1, &mut state),
+            Err(EngineError::DecodeStateMismatch { state: (2, 128), model: (2, 64) })
+        );
+        assert_eq!(state.len(), 1);
+    }
+
+    #[test]
+    fn prefill_and_errors() {
+        let (_, packed) = engine();
+        let mut state = PackedDecodeState::new(&packed);
+        assert!(packed.prefill(&[], &mut state).is_err());
+        assert!(packed.forward_step(9999, &mut state).is_err());
+        let last = packed.prefill(&[1, 2, 3], &mut state).unwrap();
+        assert_eq!(last.len(), packed.vocab());
+        assert!(!state.is_empty());
+    }
+
+    #[test]
+    fn failed_step_or_prefill_leaves_the_state_untouched() {
+        let (reference, mut compressed) = build_pair(2);
+        let packed = PackedMoeModel::build(&reference, &compressed).unwrap();
+        let mut state = PackedDecodeState::new(&packed);
+        packed.prefill(&[1, 2], &mut state).unwrap();
+        let before = state.clone();
+
+        // A NaN compensator on every layer-1 expert's down projection: a
+        // step fails there after layers 0 and 1 have cached their keys
+        // and values.
+        for rec in &mut compressed.layers {
+            if rec.name.starts_with("layer1.expert") && rec.name.ends_with(".w2") {
+                let (rows, cols) = rec.layer.qweight.shape();
+                let nan = Matrix::filled(rows, 1, f32::NAN);
+                let lr = LowRankCompensator::from_factors(nan, Matrix::filled(1, cols, 1.0)).unwrap();
+                rec.layer.compensator = Some(Compensator::Fp16(lr));
+            }
+        }
+        let poisoned = PackedMoeModel::build(&reference, &compressed).unwrap();
+        assert!(matches!(
+            poisoned.forward_step(3, &mut state),
+            Err(EngineError::ExpertFailed { layer: 1, .. })
+        ));
+        assert_eq!(state, before);
+        assert!(poisoned.prefill(&[3, 4], &mut state).is_err());
+        assert_eq!(state, before);
+
+        // A bad token anywhere in the prefix is rejected before any layer runs.
+        assert!(matches!(packed.prefill(&[1, 2, 99999, 4], &mut state), Err(EngineError::Run(_))));
+        assert_eq!(state, before);
     }
 }

@@ -18,7 +18,7 @@
 //!   (long prompt) variants mirroring the paper's six benchmarks.
 //! * [`timing`] — wall-clock measurement of quantization time (paper
 //!   Table 1 / Fig. 8).
-//! * [`bench`] — a median-of-N microbenchmark harness (warmup, batch
+//! * [`bench`](mod@bench) — a median-of-N microbenchmark harness (warmup, batch
 //!   calibration, JSON output) replacing the external `criterion` crate.
 //! * [`report`] — aligned text tables, CSV, and a minimal JSON writer for
 //!   experiment records (hand-rolled: the output schema is trivial and

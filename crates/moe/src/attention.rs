@@ -1,25 +1,27 @@
-//! Multi-head causal self-attention.
+//! Multi-head causal self-attention over a key/value cache.
 //!
 //! The attention projections are the paper's canonical *dense* layers:
 //! always activated, heavy-tailed (Table 2), most rank-sensitive
-//! (§3.2.5). This is a straightforward batched implementation — no KV
-//! cache, since evaluation processes whole sequences at once.
+//! (§3.2.5). [`Attention::forward`] appends the new rows' keys and
+//! values to a per-layer cache and attends each new row against its
+//! prefix, so one routine serves a whole-sequence forward (empty cache),
+//! a batched prefill, and a one-token decode step.
 
-use crate::Result;
+use crate::linear::Linear;
 use milo_tensor::Matrix;
 
-/// Multi-head causal self-attention with square projections.
+/// Multi-head causal self-attention with square projections of type `P`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Attention {
+pub struct Attention<P = Matrix> {
     /// Query projection, `d × d`.
-    pub wq: Matrix,
+    pub wq: P,
     /// Key projection, `d × d`.
-    pub wk: Matrix,
+    pub wk: P,
     /// Value projection, `d × d`.
-    pub wv: Matrix,
+    pub wv: P,
     /// Output projection, `d × d`.
-    pub wo: Matrix,
-    n_heads: usize,
+    pub wo: P,
+    pub(crate) n_heads: usize,
 }
 
 impl Attention {
@@ -34,87 +36,87 @@ impl Attention {
         for (name, w) in [("wq", &wq), ("wk", &wk), ("wv", &wv), ("wo", &wo)] {
             assert_eq!(w.shape(), (d, d), "{name} must be {d}x{d}");
         }
-        assert!(n_heads > 0 && d % n_heads == 0, "d={d} must divide by heads={n_heads}");
+        assert!(n_heads > 0 && d.is_multiple_of(n_heads), "d={d} must divide by heads={n_heads}");
         Self { wq, wk, wv, wo, n_heads }
     }
+}
 
+impl<P> Attention<P> {
     /// Number of attention heads.
     pub fn n_heads(&self) -> usize {
         self.n_heads
     }
+}
 
-    /// Applies causal self-attention over a sequence (`seq × d`),
-    /// returning `seq × d`.
+impl<P: Linear> Attention<P> {
+    /// Applies causal self-attention to new rows `x` (`new × d`) that
+    /// follow the positions already cached in `keys` / `values` (row
+    /// per position, `d` values each): appends the new rows' keys and
+    /// values, attends each new row against its prefix, and returns the
+    /// output projection (`new × d`).
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong width.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        Ok(self.forward_with_ctx(x)?.1)
-    }
-
-    /// Like [`Attention::forward`] but also returns the pre-`wo` context
-    /// (the concatenated head outputs) — the input of the output
-    /// projection, needed by calibration capture.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` has the wrong width.
-    pub fn forward_with_ctx(&self, x: &Matrix) -> Result<(Matrix, Matrix)> {
-        let q = x.matmul(&self.wq.transpose())?;
-        let k = x.matmul(&self.wk.transpose())?;
-        let v = x.matmul(&self.wv.transpose())?;
-        let ctx = attend(&q, &k, &v, self.n_heads);
-        let out = ctx.matmul(&self.wo.transpose())?;
-        Ok((ctx, out))
+    /// The projections' errors (e.g. `x` has the wrong width); the cache
+    /// is untouched on error.
+    pub fn forward(
+        &self,
+        x: &Matrix,
+        keys: &mut Vec<f32>,
+        values: &mut Vec<f32>,
+    ) -> Result<Matrix, P::Error> {
+        let q = self.wq.forward(x)?;
+        let k = self.wk.forward(x)?;
+        let v = self.wv.forward(x)?;
+        let d = x.cols();
+        let seen = keys.len() / d;
+        keys.extend_from_slice(k.as_slice());
+        values.extend_from_slice(v.as_slice());
+        let mut ctx = Matrix::zeros(x.rows(), d);
+        for i in 0..x.rows() {
+            let end = (seen + i + 1) * d;
+            attend_step(q.row(i), &keys[..end], &values[..end], self.n_heads, ctx.row_mut(i));
+        }
+        self.wo.forward(&ctx)
     }
 }
 
-/// Causal scaled-dot-product attention over already-projected `q`, `k`,
-/// `v` (each `seq × d`), returning the concatenated head context
-/// (`seq × d`). Shared by the FP32 model and the packed inference
-/// engine, which produce q/k/v through different GEMM paths.
+/// Causal attention for one position against cached keys/values.
 ///
-/// # Panics
-///
-/// Panics if the shapes disagree or `d` is not divisible by `n_heads`.
-pub fn attend(q: &Matrix, k: &Matrix, v: &Matrix, n_heads: usize) -> Matrix {
-    let (seq, d) = q.shape();
-    assert_eq!(k.shape(), (seq, d), "k shape mismatch");
-    assert_eq!(v.shape(), (seq, d), "v shape mismatch");
-    assert!(n_heads > 0 && d % n_heads == 0, "bad head count");
+/// `q` is the position's query row (`d` values); `keys`/`values` hold
+/// one row of `d` values per position up to and including this one. The
+/// concatenated head context is added into `out` (`d` values, zeroed by
+/// the caller).
+pub fn attend_step(q: &[f32], keys: &[f32], values: &[f32], n_heads: usize, out: &mut [f32]) {
+    let d = out.len();
+    let seen = keys.len() / d;
     let hd = d / n_heads;
     let scale = 1.0 / (hd as f32).sqrt();
-    let mut ctx = Matrix::zeros(seq, d);
     for h in 0..n_heads {
         let off = h * hd;
-        for i in 0..seq {
-            // Scores over positions 0..=i (causal mask).
-            let mut scores = Vec::with_capacity(i + 1);
-            let mut max_s = f32::NEG_INFINITY;
-            for j in 0..=i {
-                let mut s = 0.0;
-                for c in 0..hd {
-                    s += q[(i, off + c)] * k[(j, off + c)];
-                }
-                let s = s * scale;
-                max_s = max_s.max(s);
-                scores.push(s);
+        let mut scores = Vec::with_capacity(seen);
+        let mut max_s = f32::NEG_INFINITY;
+        for j in 0..seen {
+            let mut s = 0.0;
+            for c in 0..hd {
+                s += q[off + c] * keys[j * d + off + c];
             }
-            let mut denom = 0.0;
-            for s in &mut scores {
-                *s = (*s - max_s).exp();
-                denom += *s;
-            }
-            for (j, s) in scores.iter().enumerate() {
-                let w = s / denom;
-                for c in 0..hd {
-                    ctx[(i, off + c)] += w * v[(j, off + c)];
-                }
+            let s = s * scale;
+            max_s = max_s.max(s);
+            scores.push(s);
+        }
+        let mut denom = 0.0;
+        for s in &mut scores {
+            *s = (*s - max_s).exp();
+            denom += *s;
+        }
+        for (j, s) in scores.iter().enumerate() {
+            let w = s / denom;
+            for c in 0..hd {
+                out[off + c] += w * values[j * d + off + c];
             }
         }
     }
-    ctx
 }
 
 /// RMS normalization over the feature dimension (no learnable gain, as
@@ -146,11 +148,16 @@ mod tests {
         )
     }
 
+    /// Attention over a whole sequence: an empty cache.
+    fn whole(a: &Attention, x: &Matrix) -> Matrix {
+        a.forward(x, &mut Vec::new(), &mut Vec::new()).unwrap()
+    }
+
     #[test]
     fn forward_preserves_shape() {
         let a = attn(16, 2, 1);
         let x = Matrix::filled(5, 16, 0.3);
-        assert_eq!(a.forward(&x).unwrap().shape(), (5, 16));
+        assert_eq!(whole(&a, &x).shape(), (5, 16));
     }
 
     #[test]
@@ -163,8 +170,8 @@ mod tests {
         for c in 0..16 {
             x2[(5, c)] += 10.0;
         }
-        let y1 = a.forward(&x1).unwrap();
-        let y2 = a.forward(&x2).unwrap();
+        let y1 = whole(&a, &x1);
+        let y2 = whole(&a, &x2);
         for i in 0..5 {
             for c in 0..16 {
                 assert_eq!(y1[(i, c)], y2[(i, c)], "position {i} leaked future info");
@@ -182,10 +189,26 @@ mod tests {
         // y = wo · wv · x.
         let v = x.matmul(&a.wv.transpose()).unwrap();
         let expected = v.matmul(&a.wo.transpose()).unwrap();
-        let y = a.forward(&x).unwrap();
+        let y = whole(&a, &x);
         for (p, q) in y.as_slice().iter().zip(expected.as_slice()) {
             assert!((p - q).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn chunked_rows_match_the_whole_sequence_bit_for_bit() {
+        // Rows fed through the cache in chunks (prefill, then steps)
+        // produce exactly the whole-sequence outputs.
+        let a = attn(16, 4, 6);
+        let mut rng = milo_tensor::rng::StdRng::seed_from_u64(7);
+        let x = WeightDist::Gaussian { std: 1.0 }.sample_matrix(7, 16, &mut rng);
+        let all = whole(&a, &x);
+        let (mut keys, mut values) = (Vec::new(), Vec::new());
+        for (r0, r1) in [(0, 3), (3, 4), (4, 7)] {
+            let part = a.forward(&x.submatrix(r0, r1, 0, 16), &mut keys, &mut values).unwrap();
+            assert_eq!(part.as_slice(), all.submatrix(r0, r1, 0, 16).as_slice(), "rows {r0}..{r1}");
+        }
+        assert_eq!(keys.len(), 7 * 16);
     }
 
     #[test]

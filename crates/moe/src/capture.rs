@@ -2,20 +2,21 @@
 //!
 //! GPTQ needs the activations each weight matrix actually sees. The real
 //! pipeline runs Wikitext-2 through the model with forward hooks; this
-//! module plays that role for the synthetic models: it re-runs the
-//! forward pass over a corpus and records, per quantizable weight, the
-//! rows that flow into it (attention inputs, per-expert routed token
-//! subsets, post-activation hiddens for the down projections).
+//! module plays that role for the synthetic models: it runs a corpus
+//! through a copy of the model ([`MoeModel::try_map`]) whose every
+//! weight records the rows that flow into it (attention inputs,
+//! per-expert routed token subsets, post-activation hiddens for the down
+//! projections) before applying itself.
 //!
-//! The recorded names match [`crate::tensors::layer_tensors`], so the
+//! The recorded names are [`MoeModel::projections`]' names, so the
 //! captured map plugs straight into a per-layer GPTQ run.
 
-use crate::attention::rms_norm;
-use crate::dispatch::{assign, gather, scatter_add};
-use crate::model::{FfnBlock, MoeModel};
+use crate::linear::Linear;
+use crate::model::MoeModel;
 use crate::{MoeError, Result};
 use milo_tensor::Matrix;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Accumulates activation rows per layer name, capped per layer.
 #[derive(Debug, Clone)]
@@ -70,6 +71,41 @@ impl ActivationStore {
     }
 }
 
+/// A weight that records every input it is applied to — the forward
+/// hook of calibration capture.
+struct Recording<'a> {
+    name: String,
+    weight: &'a Matrix,
+    store: &'a Mutex<&'a mut ActivationStore>,
+}
+
+impl Linear for Recording<'_> {
+    const METRIC_PREFIX: &'static str = "moe";
+    type Error = MoeError;
+
+    fn forward(&self, x: &Matrix) -> Result<Matrix> {
+        self.store.lock().expect("no recorder panics while holding the store").record(&self.name, x);
+        self.weight.forward(x)
+    }
+}
+
+/// Runs `forward` on a copy of the first `layers` layers of `model` in
+/// which every weight records its inputs into `store`.
+fn recording<T>(
+    model: &MoeModel,
+    layers: usize,
+    store: &mut ActivationStore,
+    forward: impl FnOnce(&MoeModel<Recording<'_>>) -> Result<T>,
+) -> Result<T> {
+    let store = Mutex::new(&mut *store);
+    let mut hooked = model.try_map(|name, _, weight| {
+        Ok::<_, MoeError>(Recording { name: name.to_string(), weight, store: &store })
+    })?;
+    // Layers past the last one of interest never run.
+    hooked.layers.truncate(layers);
+    forward(&hooked)
+}
+
 /// Runs the forward pass over `tokens`, recording every quantizable
 /// weight's input activations into `store`. Returns the logits, which
 /// are bit-identical to [`MoeModel::forward`]'s.
@@ -82,92 +118,22 @@ pub fn forward_capturing(
     tokens: &[u32],
     store: &mut ActivationStore,
 ) -> Result<Matrix> {
-    match forward_capturing_until(model, tokens, store, model.layers.len())? {
-        Some(logits) => Ok(logits),
-        None => Err(crate::MoeError::InvalidInput(
-            "capture ended before the final layer produced logits".into(),
-        )),
-    }
+    recording(model, model.layers.len(), store, |m| m.forward(tokens))
 }
 
-/// Like [`forward_capturing`] but stops after processing layer
-/// `stop_after` (exclusive upper bound on layer index). When stopping
-/// early no logits are produced and `Ok(None)` is returned — used by
-/// sequential (layer-by-layer) GPTQ, which only needs the prefix.
-///
-/// # Errors
-///
-/// Same failure modes as [`MoeModel::forward`].
-pub fn forward_capturing_until(
+/// Runs every sequence of `corpus` through the first `layers` layers,
+/// keeping at most `max_rows` rows per weight.
+fn capture(
     model: &MoeModel,
-    tokens: &[u32],
-    store: &mut ActivationStore,
-    stop_after: usize,
-) -> Result<Option<Matrix>> {
-    if tokens.is_empty() {
-        return Err(MoeError::InvalidInput("empty token sequence".into()));
-    }
-    let d = model.config.d_model;
-    let mut x = Matrix::zeros(tokens.len(), d);
-    for (i, &t) in tokens.iter().enumerate() {
-        if t as usize >= model.config.vocab {
-            return Err(MoeError::InvalidToken { token: t, vocab: model.config.vocab });
-        }
-        x.row_mut(i).copy_from_slice(model.embed.row(t as usize));
-    }
-
-    for (li, layer) in model.layers.iter().enumerate() {
-        if li >= stop_after {
-            return Ok(None);
-        }
-        let normed = rms_norm(&x);
-        for suffix in ["wq", "wk", "wv"] {
-            store.record(&format!("layer{li}.attn.{suffix}"), &normed);
-        }
-        let (ctx, a) = layer.attn.forward_with_ctx(&normed)?;
-        store.record(&format!("layer{li}.attn.wo"), &ctx);
-        x = x.add(&a)?;
-
-        let normed = rms_norm(&x);
-        let f = match &layer.ffn {
-            FfnBlock::Dense(mlp) => {
-                store.record(&format!("layer{li}.dense.w1"), &normed);
-                store.record(&format!("layer{li}.dense.w3"), &normed);
-                let (h, y) = mlp.forward_with_hidden(&normed)?;
-                store.record(&format!("layer{li}.dense.w2"), &h);
-                y
-            }
-            FfnBlock::Moe(moe) => {
-                // The dispatch's own assignment, gather, and scatter
-                // steps, run serially with per-expert capture.
-                let mut out = Matrix::zeros(normed.rows(), d);
-                for (e, toks) in assign(&moe.router, &normed, None)?.iter().enumerate() {
-                    if toks.is_empty() {
-                        continue;
-                    }
-                    let sub = gather(&normed, toks);
-                    store.record(&format!("layer{li}.expert{e}.w1"), &sub);
-                    store.record(&format!("layer{li}.expert{e}.w3"), &sub);
-                    let (h, y) = moe.experts[e].forward_with_hidden(&sub)?;
-                    store.record(&format!("layer{li}.expert{e}.w2"), &h);
-                    scatter_add(&mut out, &y, toks);
-                }
-                for (s, shared) in moe.shared.iter().enumerate() {
-                    store.record(&format!("layer{li}.shared{s}.w1"), &normed);
-                    store.record(&format!("layer{li}.shared{s}.w3"), &normed);
-                    let (h, y) = shared.forward_with_hidden(&normed)?;
-                    store.record(&format!("layer{li}.shared{s}.w2"), &h);
-                    out = out.add(&y)?;
-                }
-                out
-            }
-        };
-        x = x.add(&f)?;
-    }
-
-    let final_x = rms_norm(&x);
-    let logits = final_x.matmul(&model.head.transpose())?;
-    Ok(Some(logits.scale(model.config.head_gain / (d as f32).sqrt())))
+    corpus: &[Vec<u32>],
+    layers: usize,
+    max_rows: usize,
+) -> Result<HashMap<String, Matrix>> {
+    let mut store = ActivationStore::new(max_rows);
+    recording(model, layers, &mut store, |m| {
+        corpus.iter().try_for_each(|seq| m.forward(seq).map(drop))
+    })?;
+    Ok(store.into_matrices())
 }
 
 /// Captures activations for every quantizable weight by running the
@@ -181,11 +147,7 @@ pub fn capture_activations(
     corpus: &[Vec<u32>],
     max_rows: usize,
 ) -> Result<HashMap<String, Matrix>> {
-    let mut store = ActivationStore::new(max_rows);
-    for seq in corpus {
-        forward_capturing(model, seq, &mut store)?;
-    }
-    Ok(store.into_matrices())
+    capture(model, corpus, model.layers.len(), max_rows)
 }
 
 /// Captures activations for the weights of a single layer only, running
@@ -201,13 +163,8 @@ pub fn capture_layer_activations(
     layer: usize,
     max_rows: usize,
 ) -> Result<HashMap<String, Matrix>> {
-    let mut store = ActivationStore::new(max_rows);
-    for seq in corpus {
-        forward_capturing_until(model, seq, &mut store, layer + 1)?;
-    }
     let prefix = format!("layer{layer}.");
-    Ok(store
-        .into_matrices()
+    Ok(capture(model, corpus, layer + 1, max_rows)?
         .into_iter()
         .filter(|(name, _)| name.starts_with(&prefix))
         .collect())

@@ -3,49 +3,22 @@
 //! tokens into one batch, run the expert GEMMs, and scatter the gated
 //! outputs back.
 //!
-//! [`MoeBlock::dispatch`] is generic over [`Expert`], so the FP32
-//! reference ([`Mlp`] experts) and the packed engine (packed SwiGLU
-//! experts in `milo-engine`) share the routing, the panic isolation, the
-//! fault policy, and the telemetry. The [`assign`] / [`gather`] /
-//! [`scatter_add`] steps are public so calibration capture reuses them.
+//! [`MoeBlock::dispatch`] is generic over the model's [`Linear`]
+//! projection type, so the FP32 reference, the packed engine, and
+//! calibration capture share the routing, the panic isolation, the fault
+//! policy, and the telemetry.
 
 use crate::health::{FaultKind, FaultMode, ResilienceContext};
-use crate::mlp::Mlp;
+use crate::linear::Linear;
 use crate::model::{FfnBlock, MoeBlock};
 use crate::router::Router;
 use crate::{MoeError, Result};
 use milo_tensor::{pool, Matrix};
 use std::time::{Duration, Instant};
 
-/// One expert network of a MoE block.
-pub trait Expert: Sync {
-    /// Prefix of the dispatch telemetry this expert type reports under:
-    /// `{prefix}.expert_tokens`, `.load_skew`, `.gate_entropy_micro`,
-    /// and `.expert_ns`.
-    const METRIC_PREFIX: &'static str;
-    /// The forward-pass error; dispatch failures convert into it.
-    type Error: std::fmt::Display + From<MoeError>;
-
-    /// Applies the expert to a batch of token rows (`tokens × d`).
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined (shape or kernel failures).
-    fn forward(&self, x: &Matrix) -> std::result::Result<Matrix, Self::Error>;
-}
-
-impl Expert for Mlp {
-    const METRIC_PREFIX: &'static str = "moe";
-    type Error = MoeError;
-
-    fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        Mlp::forward(self, x)
-    }
-}
-
 /// `assignment[e]` lists the `(token row, gate)` pairs routed to expert
 /// `e`, in token order.
-pub type Assignment = Vec<Vec<(usize, f32)>>;
+type Assignment = Vec<Vec<(usize, f32)>>;
 
 /// Routes every row of `x`, grouping the `(token, gate)` pairs by
 /// expert, and adds each route to `counts[expert]` when given.
@@ -54,7 +27,7 @@ pub type Assignment = Vec<Vec<(usize, f32)>>;
 ///
 /// Routing errors from [`Router::try_route`] (dimension mismatch,
 /// non-finite routing logits).
-pub fn assign(router: &Router, x: &Matrix, mut counts: Option<&mut [u64]>) -> Result<Assignment> {
+fn assign(router: &Router, x: &Matrix, mut counts: Option<&mut [u64]>) -> Result<Assignment> {
     let mut assignment = vec![Vec::new(); router.n_experts()];
     for t in 0..x.rows() {
         for (e, gate) in router.try_route(x.row(t))? {
@@ -69,7 +42,7 @@ pub fn assign(router: &Router, x: &Matrix, mut counts: Option<&mut [u64]>) -> Re
 
 /// Copies the rows of `x` named in `toks` into one `toks.len() × d`
 /// batch.
-pub fn gather(x: &Matrix, toks: &[(usize, f32)]) -> Matrix {
+fn gather(x: &Matrix, toks: &[(usize, f32)]) -> Matrix {
     let mut sub = Matrix::zeros(toks.len(), x.cols());
     for (i, &(t, _)) in toks.iter().enumerate() {
         sub.row_mut(i).copy_from_slice(x.row(t));
@@ -79,7 +52,7 @@ pub fn gather(x: &Matrix, toks: &[(usize, f32)]) -> Matrix {
 
 /// Adds row `i` of the expert output `y`, scaled by its gate, into row
 /// `toks[i].0` of `out`.
-pub fn scatter_add(out: &mut Matrix, y: &Matrix, toks: &[(usize, f32)]) {
+fn scatter_add(out: &mut Matrix, y: &Matrix, toks: &[(usize, f32)]) {
     for (i, &(t, gate)) in toks.iter().enumerate() {
         for (o, v) in out.row_mut(t).iter_mut().zip(y.row(i)) {
             *o += gate * v;
@@ -87,7 +60,7 @@ pub fn scatter_add(out: &mut Matrix, y: &Matrix, toks: &[(usize, f32)]) {
     }
 }
 
-impl<E: Expert> MoeBlock<E> {
+impl<P: Linear> MoeBlock<P> {
     /// Runs the block on a batch of token rows (`tokens × d`) as layer
     /// `layer` of a model, adding each token's routes to `counts` when
     /// given.
@@ -128,12 +101,12 @@ impl<E: Expert> MoeBlock<E> {
         layer: usize,
         ctx: &ResilienceContext,
         counts: Option<&mut [u64]>,
-    ) -> std::result::Result<Matrix, E::Error> {
+    ) -> Result<Matrix, P::Error> {
         let n_experts = self.experts.len();
         let mut assignment = assign(&self.router, x, counts)?;
         let telemetry = milo_obs::enabled();
         if telemetry {
-            record_routing(E::METRIC_PREFIX, layer, x.rows(), &assignment);
+            record_routing(P::METRIC_PREFIX, layer, x.rows(), &assignment);
         }
 
         let raw = pool::try_par_map(n_experts + self.shared.len(), |i| {
@@ -155,7 +128,7 @@ impl<E: Expert> MoeBlock<E> {
                 let t0 = telemetry.then(Instant::now);
                 let res = self.experts[i].forward(&sub);
                 if let Some(t0) = t0 {
-                    record_expert_ns(E::METRIC_PREFIX, layer, i, t0);
+                    record_expert_ns(P::METRIC_PREFIX, layer, i, t0);
                 }
                 res
             } else {
@@ -235,7 +208,7 @@ impl<E: Expert> MoeBlock<E> {
     }
 }
 
-impl<E: Expert> FfnBlock<E> {
+impl<P: Linear> FfnBlock<P> {
     /// Applies the FFN of layer `layer`: a dense block directly, a MoE
     /// block through [`MoeBlock::dispatch`].
     ///
@@ -249,7 +222,7 @@ impl<E: Expert> FfnBlock<E> {
         layer: usize,
         ctx: &ResilienceContext,
         counts: Option<&mut [u64]>,
-    ) -> std::result::Result<Matrix, E::Error> {
+    ) -> Result<Matrix, P::Error> {
         match self {
             FfnBlock::Dense(mlp) => mlp.forward(x),
             FfnBlock::Moe(moe) => moe.dispatch(x, layer, ctx, counts),

@@ -24,12 +24,15 @@
 //! Modules:
 //!
 //! * [`config`] — architecture configurations and the scaled presets.
+//! * [`linear`] — the projection trait the transformer is generic over
+//!   (FP32 matrices here, packed INT3 projections in `milo-engine`).
 //! * [`mlp`] — the SwiGLU feed-forward block (`w2·(silu(w1·x) ⊙ w3·x)`).
-//! * [`attention`] — multi-head causal self-attention.
+//! * [`attention`] — multi-head causal self-attention over a KV cache.
 //! * [`router`] — top-k softmax routing with per-expert bias.
-//! * [`model`] — the full transformer, synthesis, and the forward pass.
-//! * [`dispatch`] — the MoE expert-dispatch step, generic over the
-//!   expert type and shared with the packed engine.
+//! * [`model`] — the full transformer, synthesis, and the one layer loop
+//!   behind forward, prefill, and decode.
+//! * [`decode`] — the KV cache, batched prefill, and decode steps.
+//! * [`dispatch`] — the MoE expert-dispatch step.
 //! * [`profile`] — expert-activation-frequency profiling (paper Fig. 3).
 //! * [`tensors`] — enumeration of quantizable weights as
 //!   [`milo_core::LayerTensor`]s and substitution of compressed weights.
@@ -42,6 +45,7 @@ pub mod config;
 pub mod decode;
 pub mod dispatch;
 pub mod health;
+pub mod linear;
 pub mod mlp;
 pub mod model;
 pub mod profile;
@@ -53,11 +57,11 @@ pub mod tensors;
 pub use capture::{capture_activations, capture_layer_activations, ActivationStore};
 pub use config::MoeConfig;
 pub use decode::DecodeState;
-pub use dispatch::Expert;
 pub use health::{
     BreakerState, CancelToken, FaultKind, FaultMode, HealthTracker, InjectedFault,
     ResilienceContext,
 };
+pub use linear::Linear;
 pub use model::{FfnBlock, MoeBlock, MoeModel, TransformerLayer};
 pub use profile::{profile_expert_frequency, FrequencyProfile};
 pub use tensors::{apply_compressed, layer_tensors};
@@ -81,7 +85,7 @@ pub enum MoeError {
     Tensor(milo_tensor::TensorError),
     /// An expert failed during dispatch (panic, non-finite output, or
     /// tensor error) and the fault mode is
-    /// [`FaultMode::Strict`](health::FaultMode::Strict).
+    /// [`FaultMode::Strict`].
     ExpertFailed {
         /// Transformer layer index.
         layer: usize,
@@ -90,7 +94,7 @@ pub enum MoeError {
         /// Human-readable failure cause.
         reason: String,
     },
-    /// The request's [`CancelToken`](health::CancelToken) fired (deadline
+    /// The request's [`CancelToken`] fired (deadline
     /// passed or a watchdog cancelled it); the forward pass unwound at a
     /// layer boundary.
     Cancelled {
@@ -147,5 +151,6 @@ impl From<milo_tensor::TensorError> for MoeError {
     }
 }
 
-/// Convenient result alias for MoE operations.
-pub type Result<T> = std::result::Result<T, MoeError>;
+/// Convenient result alias for MoE operations; the error defaults to
+/// [`MoeError`] and is the projection type's error in generic code.
+pub type Result<T, E = MoeError> = std::result::Result<T, E>;

@@ -1,0 +1,41 @@
+//! The projection type the transformer is generic over.
+//!
+//! Every weight matrix of the model — attention `wq/wk/wv/wo` and the
+//! SwiGLU `w1/w2/w3` of dense and expert blocks — is a [`Linear`]. The
+//! FP32 reference uses a plain [`Matrix`]; the packed engine in
+//! `milo-engine` uses its INT3 projection with low-rank compensators;
+//! calibration capture wraps each weight in a recording projection.
+//! Everything else (the layer loop, attention, SwiGLU, MoE dispatch)
+//! is written once against this trait.
+
+use crate::{MoeError, Result};
+use milo_tensor::Matrix;
+
+/// One projection `y = x · Wᵀ`, in whatever form the weight is stored.
+pub trait Linear: Sync {
+    /// Prefix of the telemetry a model built from this projection type
+    /// reports under: the `{prefix}.forward` / `.layer` / `.attn` /
+    /// `.ffn` spans and the dispatch metrics `{prefix}.expert_tokens`,
+    /// `.load_skew`, `.gate_entropy_micro`, and `.expert_ns`.
+    const METRIC_PREFIX: &'static str;
+    /// The forward-pass error; model-level failures convert into it.
+    type Error: std::fmt::Display + From<MoeError>;
+
+    /// Applies the projection to a batch of token rows (`tokens × in`),
+    /// returning `tokens × out`.
+    ///
+    /// # Errors
+    ///
+    /// Implementation-defined (shape or kernel failures).
+    fn forward(&self, x: &Matrix) -> Result<Matrix, Self::Error>;
+}
+
+/// A dense FP32 weight (`out × in`).
+impl Linear for Matrix {
+    const METRIC_PREFIX: &'static str = "moe";
+    type Error = MoeError;
+
+    fn forward(&self, x: &Matrix) -> Result<Matrix> {
+        Ok(x.matmul(&self.transpose())?)
+    }
+}

@@ -5,7 +5,7 @@
 //! GEMMs the paper's kernel experiments target (Table 9 lists them per
 //! model).
 
-use crate::Result;
+use crate::linear::Linear;
 use milo_tensor::Matrix;
 
 /// SiLU activation `x · σ(x)`.
@@ -13,15 +13,15 @@ pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// A SwiGLU MLP block.
+/// A SwiGLU MLP block over projections of type `P`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mlp {
+pub struct Mlp<P = Matrix> {
     /// Gate projection, `ffn × d`.
-    pub w1: Matrix,
+    pub w1: P,
     /// Down projection, `d × ffn`.
-    pub w2: Matrix,
+    pub w2: P,
     /// Up projection, `ffn × d`.
-    pub w3: Matrix,
+    pub w3: P,
 }
 
 impl Mlp {
@@ -47,34 +47,24 @@ impl Mlp {
     pub fn d_model(&self) -> usize {
         self.w1.cols()
     }
+}
 
+impl<P: Linear> Mlp<P> {
     /// Applies the block to a batch of token vectors (`tokens × d`),
     /// returning the same shape.
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong width.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        Ok(self.forward_with_hidden(x)?.1)
-    }
-
-    /// Like [`Mlp::forward`] but also returns the post-activation hidden
-    /// `h = silu(w1·x) ⊙ (w3·x)` — the input of the `w2` projection,
-    /// needed by calibration capture.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x` has the wrong width.
-    pub fn forward_with_hidden(&self, x: &Matrix) -> Result<(Matrix, Matrix)> {
+    /// The projections' errors (e.g. `x` has the wrong width).
+    pub fn forward(&self, x: &Matrix) -> Result<Matrix, P::Error> {
         // x: T×d. gate = x·w1ᵗ: T×ffn, up = x·w3ᵗ, h = silu(gate)⊙up,
         // y = h·w2ᵗ: T×d.
-        let gate = x.matmul(&self.w1.transpose())?;
-        let up = x.matmul(&self.w3.transpose())?;
+        let gate = self.w1.forward(x)?;
+        let up = self.w3.forward(x)?;
         let h = Matrix::from_fn(gate.rows(), gate.cols(), |r, c| {
             silu(gate[(r, c)]) * up[(r, c)]
         });
-        let y = h.matmul(&self.w2.transpose())?;
-        Ok((h, y))
+        self.w2.forward(&h)
     }
 }
 

@@ -1,49 +1,98 @@
-//! The synthetic MoE transformer: synthesis, forward pass, and sampling.
+//! The MoE transformer: synthesis, the layer loop every forward entry
+//! point runs, sampling, and the one walk that names its projections.
 
 use crate::attention::{rms_norm, Attention};
 use crate::config::MoeConfig;
+use crate::decode::DecodeState;
 use crate::health::ResilienceContext;
+use crate::linear::Linear;
 use crate::mlp::Mlp;
 use crate::router::Router;
 use crate::{MoeError, Result};
+use milo_core::LayerKind;
 use milo_tensor::rng::WeightDist;
 use milo_tensor::Matrix;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 
-/// The feed-forward part of a transformer layer, generic over the expert
-/// type ([`Mlp`] here, packed experts in `milo-engine`).
+/// The feed-forward part of a transformer layer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FfnBlock<E = Mlp> {
+pub enum FfnBlock<P = Matrix> {
     /// A dense FFN (DeepSeek-MoE's first layer).
-    Dense(E),
+    Dense(Mlp<P>),
     /// A routed mixture of experts.
-    Moe(MoeBlock<E>),
+    Moe(MoeBlock<P>),
 }
 
 /// A mixture-of-experts FFN block: router, routed experts, and optional
 /// always-active shared experts; [`MoeBlock::dispatch`] runs it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MoeBlock<E = Mlp> {
+pub struct MoeBlock<P = Matrix> {
     /// The top-k router.
     pub router: Router,
     /// Routed experts.
-    pub experts: Vec<E>,
+    pub experts: Vec<Mlp<P>>,
     /// Shared experts applied to every token (DeepSeek-style).
-    pub shared: Vec<E>,
+    pub shared: Vec<Mlp<P>>,
 }
 
 /// One transformer layer: attention followed by the FFN block, both with
 /// pre-RMS-norm residual connections.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransformerLayer {
+pub struct TransformerLayer<P = Matrix> {
     /// The self-attention block.
-    pub attn: Attention,
+    pub attn: Attention<P>,
     /// The feed-forward block (dense or MoE).
-    pub ffn: FfnBlock,
+    pub ffn: FfnBlock<P>,
 }
 
-/// A complete synthetic MoE language model.
+impl<P> TransformerLayer<P> {
+    /// Maps every projection of layer `li` through `f`, in the order
+    /// attention `wq, wk, wv, wo`, then the dense block or the routed
+    /// then the shared experts (`w1, w2, w3` each). `f` receives the
+    /// projection's name — `layer{li}.attn.wq`, `layer{li}.dense.w1`,
+    /// `layer{li}.expert{e}.w2`, `layer{li}.shared{s}.w3` — and kind;
+    /// this is the one place those names are spelled.
+    fn try_map<'a, Q, E>(
+        &'a self,
+        li: usize,
+        f: &mut impl FnMut(&str, LayerKind, &'a P) -> Result<Q, E>,
+    ) -> Result<TransformerLayer<Q>, E> {
+        let (a, kind) = (&self.attn, LayerKind::Attention);
+        let attn = Attention {
+            wq: f(&format!("layer{li}.attn.wq"), kind, &a.wq)?,
+            wk: f(&format!("layer{li}.attn.wk"), kind, &a.wk)?,
+            wv: f(&format!("layer{li}.attn.wv"), kind, &a.wv)?,
+            wo: f(&format!("layer{li}.attn.wo"), kind, &a.wo)?,
+            n_heads: a.n_heads,
+        };
+        let mut mlp = |block: String, kind: LayerKind, m: &'a Mlp<P>| -> Result<Mlp<Q>, E> {
+            Ok(Mlp {
+                w1: f(&format!("layer{li}.{block}.w1"), kind, &m.w1)?,
+                w2: f(&format!("layer{li}.{block}.w2"), kind, &m.w2)?,
+                w3: f(&format!("layer{li}.{block}.w3"), kind, &m.w3)?,
+            })
+        };
+        let ffn = match &self.ffn {
+            FfnBlock::Dense(m) => FfnBlock::Dense(mlp("dense".into(), LayerKind::DenseFfn, m)?),
+            FfnBlock::Moe(moe) => FfnBlock::Moe(MoeBlock {
+                router: moe.router.clone(),
+                experts: (moe.experts.iter().enumerate())
+                    .map(|(e, m)| mlp(format!("expert{e}"), LayerKind::Expert { index: e }, m))
+                    .collect::<Result<_, E>>()?,
+                shared: (moe.shared.iter().enumerate())
+                    .map(|(s, m)| mlp(format!("shared{s}"), LayerKind::SharedExpert, m))
+                    .collect::<Result<_, E>>()?,
+            }),
+        };
+        Ok(TransformerLayer { attn, ffn })
+    }
+}
+
+/// A complete MoE language model whose projections are of type `P`:
+/// dense FP32 matrices for the reference model (the default), packed
+/// INT3 projections with compensators in `milo-engine`. Embeddings,
+/// routers, norms, and the head stay in full precision either way.
 ///
 /// # Examples
 ///
@@ -56,13 +105,13 @@ pub struct TransformerLayer {
 /// # Ok::<(), milo_moe::MoeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct MoeModel {
+pub struct MoeModel<P = Matrix> {
     /// The architecture configuration this model was synthesized from.
     pub config: MoeConfig,
     /// Token embedding, `vocab × d`.
     pub embed: Matrix,
     /// Transformer layers.
-    pub layers: Vec<TransformerLayer>,
+    pub layers: Vec<TransformerLayer<P>>,
     /// Output head, `vocab × d` (logits = head · x).
     pub head: Matrix,
 }
@@ -157,7 +206,59 @@ impl MoeModel {
         let head = WeightDist::Gaussian { std: 1.0 }.sample_matrix(config.vocab, d, &mut rng);
         Self { config: config.clone(), embed, layers, head }
     }
+}
 
+impl<P> MoeModel<P> {
+    /// Builds a model of the same architecture whose every projection is
+    /// `f(name, kind, projection)` — how compressed weights are
+    /// substituted, the packed engine is built, and calibration capture
+    /// hooks every weight. Embeddings, routers, and the head are copied.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_map<'a, Q, E>(
+        &'a self,
+        mut f: impl FnMut(&str, LayerKind, &'a P) -> Result<Q, E>,
+    ) -> Result<MoeModel<Q>, E> {
+        let layers = (self.layers.iter().enumerate())
+            .map(|(li, layer)| layer.try_map(li, &mut f))
+            .collect::<Result<_, E>>()?;
+        Ok(MoeModel {
+            config: self.config.clone(),
+            embed: self.embed.clone(),
+            layers,
+            head: self.head.clone(),
+        })
+    }
+
+    /// Every projection with its name and kind, in the order
+    /// [`MoeModel::try_map`] visits them.
+    pub fn projections(&self) -> Vec<(String, LayerKind, &P)> {
+        let mut out = Vec::new();
+        for (li, layer) in self.layers.iter().enumerate() {
+            let Ok(_) = layer.try_map(li, &mut |name, kind, p| {
+                out.push((name.to_string(), kind, p));
+                Ok::<_, std::convert::Infallible>(())
+            });
+        }
+        out
+    }
+
+    /// Empty per-layer expert-count buffers shaped for
+    /// [`MoeModel::forward_counting`].
+    pub fn fresh_counts(&self) -> Vec<Vec<u64>> {
+        self.layers
+            .iter()
+            .map(|l| match &l.ffn {
+                FfnBlock::Moe(moe) => vec![0u64; moe.experts.len()],
+                FfnBlock::Dense(_) => Vec::new(),
+            })
+            .collect()
+    }
+}
+
+impl<P: Linear> MoeModel<P> {
     /// Runs the model over a token sequence, returning per-position
     /// logits (`seq × vocab`). Position `i`'s logits predict token
     /// `i + 1`. Optionally records expert activation counts per MoE
@@ -166,15 +267,17 @@ impl MoeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`MoeError::InvalidToken`] for out-of-vocabulary ids,
+    /// [`MoeError::InvalidToken`] for out-of-vocabulary ids,
     /// [`MoeError::InvalidInput`] for an empty sequence, and
-    /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert.
+    /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert,
+    /// each converted into the projection type's error; and the
+    /// projections' own errors.
     pub fn forward_counting(
         &self,
         tokens: &[u32],
         counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix> {
-        self.run(tokens, &ResilienceContext::strict(), counts)
+    ) -> Result<Matrix, P::Error> {
+        self.run(tokens, &ResilienceContext::strict(), &mut DecodeState::new(self), counts)
     }
 
     /// Runs the model over a token sequence, returning per-position
@@ -183,7 +286,7 @@ impl MoeModel {
     /// # Errors
     ///
     /// See [`MoeModel::forward_counting`].
-    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix> {
+    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, P::Error> {
         self.forward_counting(tokens, None)
     }
 
@@ -202,86 +305,109 @@ impl MoeModel {
         &self,
         tokens: &[u32],
         ctx: &ResilienceContext,
-    ) -> Result<Matrix> {
-        self.run(tokens, ctx, None)
+    ) -> Result<Matrix, P::Error> {
+        self.run(tokens, ctx, &mut DecodeState::new(self), None)
     }
 
-    /// The batch layer loop behind every forward entry point.
-    fn run(
+    /// Runs `tokens` as the positions following those cached in `state`
+    /// and returns their logits (`tokens × vocab`): a whole-sequence
+    /// forward is a run on a fresh state, a prefill a run on the
+    /// caller's, a decode step a run of one token. Every token and the
+    /// state are validated before any layer runs, and a failure part-way
+    /// leaves `state` as it was.
+    pub(crate) fn run(
         &self,
         tokens: &[u32],
         ctx: &ResilienceContext,
-        mut counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix> {
+        state: &mut DecodeState,
+        counts: Option<&mut Vec<Vec<u64>>>,
+    ) -> Result<Matrix, P::Error> {
+        let _span = milo_obs::span(|| format!("{}.forward", P::METRIC_PREFIX));
         if tokens.is_empty() {
-            return Err(MoeError::InvalidInput("empty token sequence".into()));
+            return Err(MoeError::InvalidInput("empty token sequence".into()).into());
         }
+        let vocab = self.config.vocab;
+        if let Some(&token) = tokens.iter().find(|&&t| t as usize >= vocab) {
+            return Err(MoeError::InvalidToken { token, vocab }.into());
+        }
+        state.check(self.layers.len(), self.config.d_model)?;
+        let seen = state.len();
+        let logits = self.run_layers(tokens, ctx, state, counts);
+        match logits {
+            Ok(_) => state.seen += tokens.len(),
+            Err(_) => state.truncate(seen),
+        }
+        logits
+    }
+
+    /// The layer loop of [`MoeModel::run`], on validated input.
+    fn run_layers(
+        &self,
+        tokens: &[u32],
+        ctx: &ResilienceContext,
+        state: &mut DecodeState,
+        mut counts: Option<&mut Vec<Vec<u64>>>,
+    ) -> Result<Matrix, P::Error> {
+        let prefix = P::METRIC_PREFIX;
         let d = self.config.d_model;
         let mut x = Matrix::zeros(tokens.len(), d);
         for (i, &t) in tokens.iter().enumerate() {
-            if t as usize >= self.config.vocab {
-                return Err(MoeError::InvalidToken { token: t, vocab: self.config.vocab });
-            }
             x.row_mut(i).copy_from_slice(self.embed.row(t as usize));
         }
 
-        for (li, layer) in self.layers.iter().enumerate() {
+        for (li, (layer, (keys, values))) in self.layers.iter().zip(&mut state.kv).enumerate() {
             // Cooperative cancellation: a request whose deadline passed
             // (or that a watchdog cancelled) unwinds at the next layer
             // boundary instead of running to completion.
             if ctx.is_cancelled() {
-                return Err(MoeError::Cancelled { layer: li });
+                return Err(MoeError::Cancelled { layer: li }.into());
             }
-            let _span = milo_obs::span(|| format!("moe.layer{{layer={li}}}"));
-            let a = layer.attn.forward(&rms_norm(&x))?;
-            x = x.add(&a)?;
-            let slot = counts.as_deref_mut().map(|c| c[li].as_mut_slice());
-            let f = layer.ffn.forward(&rms_norm(&x), li, ctx, slot)?;
-            x = x.add(&f)?;
+            let _span = milo_obs::span(|| format!("{prefix}.layer{{layer={li}}}"));
+            let a = {
+                let _span = milo_obs::span(|| format!("{prefix}.attn"));
+                layer.attn.forward(&rms_norm(&x), keys, values)?
+            };
+            x = x.add(&a).map_err(MoeError::from)?;
+            let f = {
+                let _span = milo_obs::span(|| format!("{prefix}.ffn"));
+                let slot = counts.as_deref_mut().map(|c| c[li].as_mut_slice());
+                layer.ffn.forward(&rms_norm(&x), li, ctx, slot)?
+            };
+            x = x.add(&f).map_err(MoeError::from)?;
         }
         if ctx.is_cancelled() {
-            return Err(MoeError::Cancelled { layer: self.layers.len() });
+            return Err(MoeError::Cancelled { layer: self.layers.len() }.into());
         }
 
-        let final_x = rms_norm(&x);
-        let logits = final_x.matmul(&self.head.transpose())?;
+        let logits = self.head.forward(&rms_norm(&x))?;
         Ok(logits.scale(self.config.head_gain / (d as f32).sqrt()))
     }
 
     /// Samples a continuation of `prompt` of length `len` at the given
-    /// softmax temperature, re-running the full forward pass per step
-    /// (no KV cache; sequences in this reproduction are short).
+    /// softmax temperature: one batched prefill of the prompt, then one
+    /// KV-cached decode step per sampled token.
     ///
     /// # Errors
     ///
-    /// Propagates forward-pass errors.
+    /// Propagates forward-pass errors (an empty prompt is one).
     pub fn sample(
         &self,
         prompt: &[u32],
         len: usize,
         temperature: f32,
         rng: &mut StdRng,
-    ) -> Result<Vec<u32>> {
+    ) -> Result<Vec<u32>, P::Error> {
+        let mut state = DecodeState::new(self);
+        let mut logits = self.prefill(prompt, &mut state)?;
         let mut tokens = prompt.to_vec();
-        for _ in 0..len {
-            let logits = self.forward(&tokens)?;
-            let last = logits.row(logits.rows() - 1);
-            let next = sample_from_logits(last, temperature, rng);
+        for i in 0..len {
+            let next = sample_from_logits(&logits, temperature, rng);
             tokens.push(next);
+            if i + 1 < len {
+                logits = self.forward_step(next, &mut state)?;
+            }
         }
         Ok(tokens)
-    }
-
-    /// Empty per-layer expert-count buffers shaped for
-    /// [`MoeModel::forward_counting`].
-    pub fn fresh_counts(&self) -> Vec<Vec<u64>> {
-        self.layers
-            .iter()
-            .map(|l| match &l.ffn {
-                FfnBlock::Moe(moe) => vec![0u64; moe.experts.len()],
-                FfnBlock::Dense(_) => Vec::new(),
-            })
-            .collect()
     }
 }
 

@@ -7,92 +7,12 @@
 //! the weight-only baselines it compares against) quantizes only the
 //! large projection matrices.
 
-use crate::model::{FfnBlock, MoeModel};
+use crate::model::MoeModel;
 use crate::profile::FrequencyProfile;
 use crate::{MoeError, Result};
 use milo_core::{CompressedModel, LayerKind, LayerMeta, LayerTensor};
 use milo_tensor::{stats, Matrix};
 use std::collections::HashMap;
-
-/// Visits every quantizable weight with its name and layer kind.
-fn for_each_weight(model: &MoeModel, mut f: impl FnMut(String, LayerKind, &Matrix)) {
-    for (li, layer) in model.layers.iter().enumerate() {
-        for (suffix, w) in [
-            ("wq", &layer.attn.wq),
-            ("wk", &layer.attn.wk),
-            ("wv", &layer.attn.wv),
-            ("wo", &layer.attn.wo),
-        ] {
-            f(format!("layer{li}.attn.{suffix}"), LayerKind::Attention, w);
-        }
-        match &layer.ffn {
-            FfnBlock::Dense(mlp) => {
-                for (suffix, w) in [("w1", &mlp.w1), ("w2", &mlp.w2), ("w3", &mlp.w3)] {
-                    f(format!("layer{li}.dense.{suffix}"), LayerKind::DenseFfn, w);
-                }
-            }
-            FfnBlock::Moe(moe) => {
-                for (e, mlp) in moe.experts.iter().enumerate() {
-                    for (suffix, w) in [("w1", &mlp.w1), ("w2", &mlp.w2), ("w3", &mlp.w3)] {
-                        f(
-                            format!("layer{li}.expert{e}.{suffix}"),
-                            LayerKind::Expert { index: e },
-                            w,
-                        );
-                    }
-                }
-                for (s, mlp) in moe.shared.iter().enumerate() {
-                    for (suffix, w) in [("w1", &mlp.w1), ("w2", &mlp.w2), ("w3", &mlp.w3)] {
-                        f(
-                            format!("layer{li}.shared{s}.{suffix}"),
-                            LayerKind::SharedExpert,
-                            w,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Visits every quantizable weight mutably with its name.
-fn for_each_weight_mut(model: &mut MoeModel, mut f: impl FnMut(&str, &mut Matrix)) {
-    for (li, layer) in model.layers.iter_mut().enumerate() {
-        for (suffix, w) in [
-            ("wq", &mut layer.attn.wq),
-            ("wk", &mut layer.attn.wk),
-            ("wv", &mut layer.attn.wv),
-            ("wo", &mut layer.attn.wo),
-        ] {
-            f(&format!("layer{li}.attn.{suffix}"), w);
-        }
-        match &mut layer.ffn {
-            FfnBlock::Dense(mlp) => {
-                for (suffix, w) in
-                    [("w1", &mut mlp.w1), ("w2", &mut mlp.w2), ("w3", &mut mlp.w3)]
-                {
-                    f(&format!("layer{li}.dense.{suffix}"), w);
-                }
-            }
-            FfnBlock::Moe(moe) => {
-                for (e, mlp) in moe.experts.iter_mut().enumerate() {
-                    for (suffix, w) in
-                        [("w1", &mut mlp.w1), ("w2", &mut mlp.w2), ("w3", &mut mlp.w3)]
-                    {
-                        f(&format!("layer{li}.expert{e}.{suffix}"), w);
-                    }
-                }
-                for (s, mlp) in moe.shared.iter_mut().enumerate() {
-                    for (suffix, w) in
-                        [("w1", &mut mlp.w1), ("w2", &mut mlp.w2), ("w3", &mut mlp.w3)]
-                    {
-                        f(&format!("layer{li}.shared{s}.{suffix}"), w);
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Extracts the layer index from a tensor name (`"layer{i}. ..."`).
 fn layer_index(name: &str) -> usize {
@@ -106,29 +26,22 @@ fn layer_index(name: &str) -> usize {
 /// kurtosis and (if a profile is given) expert activation frequency
 /// filled in — exactly what [`milo_core::compress_model`] consumes.
 pub fn layer_tensors(model: &MoeModel, freq: Option<&FrequencyProfile>) -> Vec<LayerTensor> {
-    let mut out = Vec::new();
-    for_each_weight(model, |name, kind, w| {
-        let (rows, cols) = w.shape();
-        let frequency = match (kind, freq) {
-            (LayerKind::Expert { index }, Some(p)) => {
-                p.frequency(layer_index(&name), index)
+    (model.projections().into_iter())
+        .map(|(name, kind, w)| {
+            let (rows, cols) = w.shape();
+            let frequency = match (kind, freq) {
+                (LayerKind::Expert { index }, Some(p)) => p.frequency(layer_index(&name), index),
+                (LayerKind::Expert { .. }, None) => 0.0,
+                _ => 1.0,
+            };
+            let kurtosis = stats::matrix_kurtosis(w);
+            LayerTensor {
+                name,
+                meta: LayerMeta { kind, rows, cols, kurtosis, frequency },
+                weight: w.clone(),
             }
-            (LayerKind::Expert { .. }, None) => 0.0,
-            _ => 1.0,
-        };
-        out.push(LayerTensor {
-            name,
-            meta: LayerMeta {
-                kind,
-                rows,
-                cols,
-                kurtosis: stats::matrix_kurtosis(w),
-                frequency,
-            },
-            weight: w.clone(),
-        });
-    });
-    out
+        })
+        .collect()
 }
 
 /// Builds an inference model from a compressed model by replacing every
@@ -145,26 +58,19 @@ pub fn apply_compressed(model: &MoeModel, compressed: &CompressedModel) -> Resul
         effective.insert(rec.name.as_str(), rec.layer.effective_weight());
     }
 
-    let mut out = model.clone();
-    let mut error: Option<MoeError> = None;
     let mut replaced = 0usize;
-    for_each_weight_mut(&mut out, |name, w| {
-        if let Some(new_w) = effective.remove(name) {
-            if new_w.shape() != w.shape() {
-                error.get_or_insert(MoeError::WeightMismatch(format!(
-                    "layer {name}: model is {:?}, compressed is {:?}",
-                    w.shape(),
-                    new_w.shape()
-                )));
-                return;
-            }
-            *w = new_w;
+    let out = model.try_map(|name, _, w| match effective.remove(name) {
+        Some(new_w) if new_w.shape() != w.shape() => Err(MoeError::WeightMismatch(format!(
+            "layer {name}: model is {:?}, compressed is {:?}",
+            w.shape(),
+            new_w.shape()
+        ))),
+        Some(new_w) => {
             replaced += 1;
+            Ok(new_w)
         }
-    });
-    if let Some(e) = error {
-        return Err(e);
-    }
+        None => Ok(w.clone()),
+    })?;
     if let Some(name) = effective.keys().next() {
         return Err(MoeError::WeightMismatch(format!(
             "compressed layer {name} does not exist in the model"

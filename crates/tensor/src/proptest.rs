@@ -4,8 +4,9 @@
 //! seeded case generation through the vendored [`Xoshiro256pp`]
 //! generator, greedy input shrinking on failure, and assumption
 //! (rejection) support. The API is deliberately tiny — a [`Strategy`]
-//! trait, a [`check`] runner, and the [`prop_assert!`],
-//! [`prop_assert_eq!`], and [`prop_assume!`] macros — but it keeps the
+//! trait, a [`check`] runner, and the [`prop_assert!`](crate::prop_assert),
+//! [`prop_assert_eq!`](crate::prop_assert_eq), and
+//! [`prop_assume!`](crate::prop_assume) macros — but it keeps the
 //! properties in `tests/properties.rs` seeded and reproducible: a
 //! failure report always names the seed and case index that produced it.
 //!

@@ -26,6 +26,8 @@
 #    path dependencies on crates/*) and runs its unit tests, so a change
 #    to the engine API or the metric names the benchmark reads fails
 #    here rather than at benchmark time.
+# 8. Documentation: builds the workspace's rustdoc with warnings denied,
+#    so a broken or ambiguous intra-doc link fails the check.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -143,7 +145,7 @@ MILO_TELEMETRY=trace "$cli" quantize --model "$smoke_dir/tele.moem" \
     --method milo --iters 4 --sparse-rank 2 --out "$smoke_dir/tele.milo" \
     --trace-out "$smoke_dir/quantize_trace.json" >/dev/null
 "$cli" trace-check --trace "$smoke_dir/quantize_trace.json" \
-    --require quant.hqq,core.milo_compress,moe.layer >/dev/null
+    --require quant.hqq,core.milo_compress,moe.forward,moe.layer,moe.attn,moe.ffn >/dev/null
 MILO_TELEMETRY=trace "$cli" stats --model "$smoke_dir/tele.moem" \
     --compressed "$smoke_dir/tele.milo" --seqs 2 --seq-len 12 \
     --trace-out "$smoke_dir/stats_trace.json" >/dev/null
@@ -161,3 +163,7 @@ echo "ok: quick serving soak held all invariants (seed 7)"
 # --- 7. Benchmark package tests --------------------------------------------
 cargo test -q --offline --release --manifest-path perfbench/Cargo.toml >/dev/null
 echo "ok: perfbench builds against the workspace and its tests pass"
+
+# --- 8. Documentation -------------------------------------------------------
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
+echo "ok: workspace docs build without warnings"

@@ -118,7 +118,8 @@ fn packed_engine_forward_identical_across_thread_counts() {
     }
 
     // Fully packed: the batch forward and the decode loop (prefill, then
-    // one forward_step per token) are both thread-count invariant.
+    // one forward_step per token) are both thread-count invariant, and
+    // the decode loop reproduces the batch forward's rows exactly.
     let engine = packed_engine(&tileable_config(), 57);
     assert_eq!(engine.packed_fraction(), 1.0);
     let decode = |threads: usize| {
@@ -131,12 +132,23 @@ fn packed_engine_forward_identical_across_thread_counts() {
             logits
         })
     };
+    let prefill = |threads: usize| {
+        pool::with_threads(threads, || {
+            engine.prefill(&tokens, &mut PackedDecodeState::new(&engine)).unwrap()
+        })
+    };
     let serial = pool::with_threads(1, || engine.forward(&tokens).unwrap());
     let serial_decode = decode(1);
+    for (i, row) in serial_decode.iter().enumerate() {
+        assert_eq!(*row, serial.row(4 + i), "decode row {} differs from forward", 4 + i);
+    }
+    let last = serial.row(tokens.len() - 1);
+    assert_eq!(prefill(1), last, "prefill differs from the last forward row");
     for threads in SWEEP {
         let par = pool::with_threads(threads, || engine.forward(&tokens).unwrap());
         assert_eq!(serial, par, "packed forward diverged at {threads} threads");
         assert_eq!(serial_decode, decode(threads), "packed decode diverged at {threads} threads");
+        assert_eq!(prefill(threads), last, "prefill diverged at {threads} threads");
     }
 }
 
