@@ -6,10 +6,10 @@
 //! Run: `cargo run --release -p milo-bench --bin fig5_kurtosis_error`
 
 use milo_bench::{banner, Args, Setup};
-use milo_eval::par::par_map;
 use milo_eval::Table;
 use milo_moe::{layer_tensors, MoeModel};
 use milo_quant::{hqq_quantize, HqqOptions, QuantConfig};
+use milo_tensor::pool::par_map;
 use milo_tensor::stats;
 
 /// Pearson correlation coefficient.

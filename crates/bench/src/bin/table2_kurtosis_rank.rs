@@ -7,11 +7,11 @@
 
 use milo_bench::{banner, Args, Setup};
 use milo_core::LayerKind;
-use milo_eval::par::par_map;
 use milo_eval::Table;
 use milo_moe::{layer_tensors, MoeModel};
 use milo_quant::{rtn_quantize, QuantConfig};
 use milo_tensor::linalg::jacobi_svd;
+use milo_tensor::pool::par_map;
 use milo_tensor::stats;
 
 /// Per-class accumulators: (kurtosis sum, residual-rank sum, count).

@@ -5,11 +5,11 @@
 use milo_core::{
     compress_model, CompressedLayer, CompressedModel, LayerRecord, MiloOptions, RankPolicy,
 };
-use milo_eval::par::par_map;
 use milo_eval::time_it;
 use milo_moe::{apply_compressed, layer_tensors, FrequencyProfile, MoeModel};
 use milo_quant::calib::{synthetic_calibration, CalibProfile};
 use milo_quant::{gptq_quantize, rtn_quantize, GptqOptions, QuantConfig};
+use milo_tensor::pool::par_map;
 
 /// The result of compressing a model with one method.
 #[derive(Debug, Clone)]

@@ -2,11 +2,10 @@
 //! and zero-points), optional low-rank compensator factors, and the
 //! fused-GEMM / dense fallback dispatch.
 
-use crate::{EngineError, Result};
 use milo_core::{CompressedLayer, Compensator};
-use milo_moe::Linear;
-use milo_pack::{GemmKernel, Packed4Matrix, PackedMatrix, TileShape};
-use milo_tensor::Matrix;
+use milo_moe::{Linear, MoeError, Result};
+use milo_pack::{GemmKernel, Packed4Matrix, PackedMatrix, PackedWeight, TileShape};
+use milo_tensor::{Matrix, TensorError};
 
 /// How the weight is stored and multiplied.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,9 +14,9 @@ enum Storage {
     Packed3(PackedMatrix, GemmKernel),
     /// Packed INT4 (the W4A16 baseline format) plus its kernel.
     Packed4(Packed4Matrix, GemmKernel),
-    /// Dense fallback (FP16-rounded de-quantized values) for shapes the
-    /// kernel's tile rules reject — kept transposed (`in × out`) so the
-    /// hot loop is a plain row-major GEMM.
+    /// Dense fallback (FP16-rounded de-quantized values) for weights the
+    /// kernel rejects — kept transposed (`in × out`) so the hot loop is a
+    /// plain row-major GEMM.
     Dense(Matrix),
 }
 
@@ -37,19 +36,29 @@ pub struct PackedLinear {
     memory_bytes: usize,
 }
 
-/// Picks a tile shape whose `(tile_k, tile_n)` divides `(k, n)`, if any.
-fn pick_tile(k: usize, n: usize) -> Option<TileShape> {
-    TileShape::all().into_iter().find(|t| {
-        let (tk, tn) = t.dims();
-        k % tk == 0 && n % tn == 0
-    })
+/// A packed weight with the first tile shape whose kernel accepts it:
+/// [`GemmKernel::validate`] is the one rule for when the packed path
+/// runs (group size, tile divisibility), so a weight it rejects never
+/// reaches a forward pass.
+fn with_kernel<W: PackedWeight>(packed: milo_pack::Result<W>) -> Option<(W, GemmKernel)> {
+    let w = packed.ok()?;
+    let kernel = (TileShape::all().into_iter())
+        .map(|tile| GemmKernel { tile })
+        .find(|k| k.validate(1, &w).is_ok())?;
+    Some((w, kernel))
+}
+
+/// A shape error naming the step of [`PackedLinear::forward`] that failed.
+fn shape_error(msg: String) -> MoeError {
+    MoeError::Tensor(TensorError::ShapeMismatch(msg))
 }
 
 impl PackedLinear {
     /// Builds the deployment form of one compressed layer. INT3 weights
     /// go to the zero-waste packed layout, INT4 weights to the W4
-    /// layout; anything else (or shapes the tile rules reject) falls
-    /// back to a dense path built from the same de-quantized values.
+    /// layout; anything else, or a packed weight no kernel tile accepts,
+    /// falls back to a dense path built from the same de-quantized
+    /// values.
     ///
     /// # Errors
     ///
@@ -57,27 +66,21 @@ impl PackedLinear {
     /// fallback), but returns `Result` to keep the door open for strict
     /// deployment modes.
     pub fn build(layer: &CompressedLayer) -> Result<Self> {
-        let (out_features, in_features) = layer.qweight.shape();
-        let memory_bytes = layer.memory_bytes();
-
-        let tile = pick_tile(in_features, out_features);
-        let storage = match (layer.qweight.config().bits(), tile) {
-            (3, Some(tile)) => match PackedMatrix::pack(&layer.qweight) {
-                Ok(packed) => Storage::Packed3(packed, GemmKernel { tile }),
-                Err(_) => Storage::Dense(layer.qweight.dequantize().transpose()),
-            },
-            (4, Some(tile)) => match Packed4Matrix::pack(&layer.qweight) {
-                Ok(packed) => Storage::Packed4(packed, GemmKernel { tile }),
-                Err(_) => Storage::Dense(layer.qweight.dequantize().transpose()),
-            },
-            _ => Storage::Dense(layer.qweight.dequantize().transpose()),
-        };
+        let q = &layer.qweight;
+        let (out_features, in_features) = q.shape();
+        let storage = match q.config().bits() {
+            3 => with_kernel(PackedMatrix::pack(q)).map(|(w, k)| Storage::Packed3(w, k)),
+            4 => with_kernel(Packed4Matrix::pack(q)).map(|(w, k)| Storage::Packed4(w, k)),
+            _ => None,
+        }
+        .unwrap_or_else(|| Storage::Dense(q.dequantize().transpose()));
         let comp_t = layer.compensator.as_ref().map(|c| match c {
             Compensator::Fp16(lr) => (lr.v().transpose(), lr.u().transpose()),
             Compensator::Quantized(q) => {
                 (q.v().dequantize().transpose(), q.u().dequantize().transpose())
             }
         });
+        let memory_bytes = layer.memory_bytes();
         Ok(Self { storage, comp_t, out_features, in_features, memory_bytes })
     }
 
@@ -106,39 +109,26 @@ impl PackedLinear {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Run`] on shape mismatches.
+    /// [`MoeError::Tensor`] on a shape mismatch, naming the GEMM that
+    /// failed.
     pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
         if x.cols() != self.in_features {
-            return Err(EngineError::Run(format!(
-                "input width {} != {}",
-                x.cols(),
-                self.in_features
-            )));
+            return Err(shape_error(format!("input width {} != {}", x.cols(), self.in_features)));
         }
         let mut y = match &self.storage {
             Storage::Packed3(packed, kernel) => kernel
                 .gemm(x, packed)
-                .map_err(|e| EngineError::Run(format!("packed INT3 GEMM failed: {e}")))?,
+                .map_err(|e| shape_error(format!("packed INT3 GEMM failed: {e}")))?,
             Storage::Packed4(packed, kernel) => kernel
                 .gemm(x, packed)
-                .map_err(|e| EngineError::Run(format!("packed INT4 GEMM failed: {e}")))?,
-            Storage::Dense(wt) => x
-                .matmul(wt)
-                .map_err(|e| EngineError::Run(format!("dense GEMM failed: {e}")))?,
+                .map_err(|e| shape_error(format!("packed INT4 GEMM failed: {e}")))?,
+            Storage::Dense(wt) => x.matmul(wt)?,
         };
         if let Some((vt, ut)) = &self.comp_t {
             // Low-rank fast path: y += (x·Vᵀ)·Uᵀ — two skinny GEMMs on
             // the factors transposed once at build time; the U·V product
             // is never materialized.
-            let xv = x
-                .matmul(vt)
-                .map_err(|e| EngineError::Run(format!("compensator V failed: {e}")))?;
-            let delta = xv
-                .matmul(ut)
-                .map_err(|e| EngineError::Run(format!("compensator U failed: {e}")))?;
-            y = y
-                .add(&delta)
-                .map_err(|e| EngineError::Run(format!("compensator add failed: {e}")))?;
+            y = y.add(&x.matmul(vt)?.matmul(ut)?)?;
         }
         Ok(y)
     }
@@ -146,7 +136,6 @@ impl PackedLinear {
 
 impl Linear for PackedLinear {
     const METRIC_PREFIX: &'static str = "engine";
-    type Error = EngineError;
 
     fn forward(&self, x: &Matrix) -> Result<Matrix> {
         PackedLinear::forward(self, x)
@@ -219,10 +208,35 @@ mod tests {
     }
 
     #[test]
+    fn group_sizes_the_kernel_rejects_fall_back_to_dense() {
+        // Both layouts pack these group sizes, but the kernel runs only
+        // group size 64: the weight must take the dense path instead of
+        // a packed path whose every forward fails.
+        let mut rng = milo_tensor::rng::StdRng::seed_from_u64(17);
+        let w = WeightDist::Gaussian { std: 0.06 }.sample_matrix(256, 128, &mut rng);
+        let x = WeightDist::Gaussian { std: 1.0 }.sample_matrix(3, 128, &mut rng);
+        for (bits, group) in [(3u8, 128usize), (3, 32), (4, 128)] {
+            let cfg = milo_quant::QuantConfig::new(bits, group, milo_quant::Scheme::Asymmetric)
+                .unwrap();
+            let q = milo_quant::rtn_quantize(&w, &cfg).unwrap();
+            let layer = CompressedLayer { qweight: q.clone(), compensator: None, convergence: vec![] };
+            let lin = PackedLinear::build(&layer).unwrap();
+            assert!(!lin.uses_packed_kernel(), "bits={bits} group={group}");
+            let y = lin.forward(&x).unwrap();
+            let reference = x.matmul(&q.dequantize().transpose()).unwrap();
+            let rel = stats::relative_frobenius_error(&reference, &y);
+            assert!(rel < 5e-3, "bits={bits} group={group}: rel {rel}");
+        }
+    }
+
+    #[test]
     fn wrong_width_rejected() {
         let (_, layer) = compressed(128, 128, 2);
         let lin = PackedLinear::build(&layer).unwrap();
-        assert!(lin.forward(&Matrix::zeros(1, 64)).is_err());
+        assert!(matches!(
+            lin.forward(&Matrix::zeros(1, 64)),
+            Err(MoeError::Tensor(TensorError::ShapeMismatch(_)))
+        ));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! weights.
 
 use crate::linear::PackedLinear;
-use crate::{EngineError, Result};
 use milo_core::CompressedModel;
-use milo_moe::MoeModel;
+use milo_moe::{MoeError, MoeModel, Result};
 use std::ops::Deref;
 
 /// A complete MoE model in deployment form: packed INT3 projections,
@@ -14,8 +13,8 @@ use std::ops::Deref;
 /// It dereferences to the generic [`MoeModel`] over [`PackedLinear`],
 /// whose `forward`, `forward_resilient`, `prefill`, and `forward_step`
 /// run it — numerically equivalent (to FP16 rounding) to evaluating the
-/// reconstructed dense model, with errors as [`EngineError`] and
-/// telemetry under the `engine.` prefix.
+/// reconstructed dense model, with telemetry under the `engine.`
+/// prefix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMoeModel(MoeModel<PackedLinear>);
 
@@ -34,13 +33,13 @@ impl PackedMoeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Mismatch`] if a layer of the reference has
-    /// no counterpart in `compressed`.
+    /// Returns [`MoeError::WeightMismatch`] if a layer of the reference
+    /// has no counterpart in `compressed`.
     pub fn build(reference: &MoeModel, compressed: &CompressedModel) -> Result<Self> {
         let model = reference.try_map(|name, _, _| {
             let rec = compressed
                 .layer(name)
-                .ok_or_else(|| EngineError::Mismatch(format!("missing layer {name}")))?;
+                .ok_or_else(|| MoeError::WeightMismatch(format!("missing layer {name}")))?;
             PackedLinear::build(&rec.layer)
         })?;
         Ok(Self(model))
@@ -167,7 +166,7 @@ mod tests {
 
             let strict = ResilienceContext::strict().with_fault(fault);
             match engine.forward_resilient(&tokens, &strict) {
-                Err(EngineError::ExpertFailed { layer: 0, expert, .. }) => {
+                Err(MoeError::ExpertFailed { layer: 0, expert, .. }) => {
                     assert_eq!(expert, busiest, "{kind:?}");
                 }
                 other => panic!("expected ExpertFailed for {kind:?}, got {other:?}"),
@@ -188,7 +187,7 @@ mod tests {
             compress_model(&tensors, &RankPolicy::uniform(0), &opts, 2).unwrap();
         assert!(matches!(
             PackedMoeModel::build(&reference, &compressed),
-            Err(EngineError::Mismatch(_))
+            Err(MoeError::WeightMismatch(_))
         ));
     }
 
@@ -240,7 +239,7 @@ mod tests {
         wide.forward_step(1, &mut state).unwrap();
         assert_eq!(
             narrow.forward_step(1, &mut state),
-            Err(EngineError::DecodeStateMismatch { state: (2, 128), model: (2, 64) })
+            Err(MoeError::DecodeStateMismatch { state: (2, 128), model: (2, 64) })
         );
         assert_eq!(state.len(), 1);
     }
@@ -278,14 +277,17 @@ mod tests {
         let poisoned = PackedMoeModel::build(&reference, &compressed).unwrap();
         assert!(matches!(
             poisoned.forward_step(3, &mut state),
-            Err(EngineError::ExpertFailed { layer: 1, .. })
+            Err(MoeError::ExpertFailed { layer: 1, .. })
         ));
         assert_eq!(state, before);
         assert!(poisoned.prefill(&[3, 4], &mut state).is_err());
         assert_eq!(state, before);
 
         // A bad token anywhere in the prefix is rejected before any layer runs.
-        assert!(matches!(packed.prefill(&[1, 2, 99999, 4], &mut state), Err(EngineError::Run(_))));
+        assert!(matches!(
+            packed.prefill(&[1, 2, 99999, 4], &mut state),
+            Err(MoeError::InvalidToken { token: 99999, .. })
+        ));
         assert_eq!(state, before);
     }
 }

@@ -6,8 +6,8 @@
 //! noise floor explicit: resample the per-sequence NLL contributions with
 //! replacement and read the metric's percentile band.
 
-use crate::par::par_map;
 use milo_moe::{MoeModel, Result};
+use milo_tensor::pool::par_map;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 

@@ -31,7 +31,6 @@
 pub mod bench;
 pub mod ci;
 pub mod harness;
-pub mod par;
 pub mod ppl;
 pub mod report;
 pub mod tasks;

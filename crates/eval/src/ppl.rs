@@ -8,8 +8,8 @@
 //! weight reconstruction error, giving the same method ordering as
 //! Wikitext-2 PPL does in the paper.
 
-use crate::par::par_map;
 use milo_moe::{MoeModel, Result};
+use milo_tensor::pool::par_map;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 

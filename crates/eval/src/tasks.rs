@@ -27,6 +27,7 @@
 //! forward per prompt).
 
 use milo_moe::{MoeModel, Result};
+use milo_tensor::pool;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 
@@ -145,7 +146,7 @@ impl PreparedTask {
             .collect();
 
         // Phase 2 (parallel): reference answers.
-        let answer_results = crate::par::par_map(prompts.len(), |i| -> Result<u32> {
+        let answer_results = pool::par_map(prompts.len(), |i| -> Result<u32> {
             let logits = reference.forward(&prompts[i])?;
             Ok(argmax_within(logits.row(prompts[i].len() - 1), &all))
         });
@@ -187,7 +188,7 @@ impl PreparedTask {
     pub fn score(&self, candidate: &MoeModel) -> Result<f32> {
         let vocab = candidate.config.vocab as u32;
         let all: Vec<u32> = (0..vocab).collect();
-        let hits = crate::par::par_map(self.prompts.len(), |i| -> Result<bool> {
+        let hits = pool::par_map(self.prompts.len(), |i| -> Result<bool> {
             let prompt = &self.prompts[i];
             let logits = candidate.forward(prompt)?;
             let row = logits.row(prompt.len() - 1);

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
-use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeModel};
+use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeError, MoeModel};
 use milo_quant::HqqOptions;
 use milo_serve::{Request, RetryPolicy, ServeError, Server, ServerConfig, ShedPolicy, Ticket};
 use milo_tensor::prng::{Rng, SeedableRng};
@@ -123,7 +123,7 @@ pub struct SoakReport {
     pub retries_exhausted: u64,
     /// Strict-mode expert failures surfaced without retry budget.
     pub expert_errors: u64,
-    /// Non-retryable engine errors (must be 0: every token is valid).
+    /// Other non-retryable model errors (must be 0: every token is valid).
     pub engine_errors: u64,
     /// Contained worker panics (must be 0 with a real model).
     pub internal_errors: u64,
@@ -269,8 +269,10 @@ fn settle(pending: Vec<Pending>, epsilon: Duration, tally: &mut Tally) {
                     Err(ServeError::DeadlineExceeded { .. }) => tally.deadline_exceeded += 1,
                     Err(ServeError::Shed { .. }) => tally.shed += 1,
                     Err(ServeError::RetriesExhausted { .. }) => tally.retries_exhausted += 1,
-                    Err(ServeError::Expert { .. }) => tally.expert_errors += 1,
-                    Err(ServeError::Engine(_)) => tally.engine_errors += 1,
+                    Err(ServeError::Model(MoeError::ExpertFailed { .. })) => {
+                        tally.expert_errors += 1;
+                    }
+                    Err(ServeError::Model(_)) => tally.engine_errors += 1,
                     Err(ServeError::Internal(_)) => tally.internal_errors += 1,
                     Err(other) => {
                         // Overloaded / InvalidDeadline cannot occur after

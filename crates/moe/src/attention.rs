@@ -8,6 +8,7 @@
 //! a batched prefill, and a one-token decode step.
 
 use crate::linear::Linear;
+use crate::Result;
 use milo_tensor::Matrix;
 
 /// Multi-head causal self-attention with square projections of type `P`.
@@ -64,7 +65,7 @@ impl<P: Linear> Attention<P> {
         x: &Matrix,
         keys: &mut Vec<f32>,
         values: &mut Vec<f32>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         let q = self.wq.forward(x)?;
         let k = self.wk.forward(x)?;
         let v = self.wv.forward(x)?;

@@ -81,7 +81,6 @@ struct Recording<'a> {
 
 impl Linear for Recording<'_> {
     const METRIC_PREFIX: &'static str = "moe";
-    type Error = MoeError;
 
     fn forward(&self, x: &Matrix) -> Result<Matrix> {
         self.store.lock().expect("no recorder panics while holding the store").record(&self.name, x);

@@ -78,7 +78,7 @@ impl<P: Linear> MoeModel<P> {
     /// # Errors
     ///
     /// See [`MoeModel::prefill`].
-    pub fn forward_step(&self, token: u32, state: &mut DecodeState) -> Result<Vec<f32>, P::Error> {
+    pub fn forward_step(&self, token: u32, state: &mut DecodeState) -> Result<Vec<f32>> {
         self.prefill(&[token], state)
     }
 
@@ -92,9 +92,8 @@ impl<P: Linear> MoeModel<P> {
     /// [`MoeError::InvalidToken`] for out-of-vocabulary ids,
     /// [`MoeError::DecodeStateMismatch`] for a state built for a model of
     /// another depth or width, and [`MoeError::ExpertFailed`] for a
-    /// panicking or non-finite expert — each converted into the
-    /// projection type's error.
-    pub fn prefill(&self, tokens: &[u32], state: &mut DecodeState) -> Result<Vec<f32>, P::Error> {
+    /// panicking or non-finite expert.
+    pub fn prefill(&self, tokens: &[u32], state: &mut DecodeState) -> Result<Vec<f32>> {
         let logits = self.run(tokens, &ResilienceContext::strict(), state, None)?;
         Ok(logits.row(logits.rows() - 1).to_vec())
     }

@@ -101,7 +101,7 @@ impl<P: Linear> MoeBlock<P> {
         layer: usize,
         ctx: &ResilienceContext,
         counts: Option<&mut [u64]>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         let n_experts = self.experts.len();
         let mut assignment = assign(&self.router, x, counts)?;
         let telemetry = milo_obs::enabled();
@@ -161,7 +161,7 @@ impl<P: Linear> MoeBlock<P> {
                 }
                 Err(reason) => match ctx.mode {
                     FaultMode::Strict => {
-                        return Err(MoeError::ExpertFailed { layer, expert: i, reason }.into())
+                        return Err(MoeError::ExpertFailed { layer, expert: i, reason });
                     }
                     FaultMode::Degrade => {
                         ctx.health.record(layer, i, reason);
@@ -222,7 +222,7 @@ impl<P: Linear> FfnBlock<P> {
         layer: usize,
         ctx: &ResilienceContext,
         counts: Option<&mut [u64]>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         match self {
             FfnBlock::Dense(mlp) => mlp.forward(x),
             FfnBlock::Moe(moe) => moe.dispatch(x, layer, ctx, counts),

@@ -151,6 +151,5 @@ impl From<milo_tensor::TensorError> for MoeError {
     }
 }
 
-/// Convenient result alias for MoE operations; the error defaults to
-/// [`MoeError`] and is the projection type's error in generic code.
-pub type Result<T, E = MoeError> = std::result::Result<T, E>;
+/// Convenient result alias for MoE operations.
+pub type Result<T> = std::result::Result<T, MoeError>;

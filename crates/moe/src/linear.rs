@@ -8,7 +8,7 @@
 //! Everything else (the layer loop, attention, SwiGLU, MoE dispatch)
 //! is written once against this trait.
 
-use crate::{MoeError, Result};
+use crate::Result;
 use milo_tensor::Matrix;
 
 /// One projection `y = x · Wᵀ`, in whatever form the weight is stored.
@@ -18,22 +18,19 @@ pub trait Linear: Sync {
     /// `.ffn` spans and the dispatch metrics `{prefix}.expert_tokens`,
     /// `.load_skew`, `.gate_entropy_micro`, and `.expert_ns`.
     const METRIC_PREFIX: &'static str;
-    /// The forward-pass error; model-level failures convert into it.
-    type Error: std::fmt::Display + From<MoeError>;
 
     /// Applies the projection to a batch of token rows (`tokens × in`),
     /// returning `tokens × out`.
     ///
     /// # Errors
     ///
-    /// Implementation-defined (shape or kernel failures).
-    fn forward(&self, x: &Matrix) -> Result<Matrix, Self::Error>;
+    /// Shape or kernel failures, as a [`MoeError`](crate::MoeError).
+    fn forward(&self, x: &Matrix) -> Result<Matrix>;
 }
 
 /// A dense FP32 weight (`out × in`).
 impl Linear for Matrix {
     const METRIC_PREFIX: &'static str = "moe";
-    type Error = MoeError;
 
     fn forward(&self, x: &Matrix) -> Result<Matrix> {
         Ok(x.matmul(&self.transpose())?)

@@ -6,6 +6,7 @@
 //! model).
 
 use crate::linear::Linear;
+use crate::Result;
 use milo_tensor::Matrix;
 
 /// SiLU activation `x · σ(x)`.
@@ -56,7 +57,7 @@ impl<P: Linear> Mlp<P> {
     /// # Errors
     ///
     /// The projections' errors (e.g. `x` has the wrong width).
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix, P::Error> {
+    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
         // x: T×d. gate = x·w1ᵗ: T×ffn, up = x·w3ᵗ, h = silu(gate)⊙up,
         // y = h·w2ᵗ: T×d.
         let gate = self.w1.forward(x)?;

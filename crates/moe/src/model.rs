@@ -56,8 +56,8 @@ impl<P> TransformerLayer<P> {
     fn try_map<'a, Q, E>(
         &'a self,
         li: usize,
-        f: &mut impl FnMut(&str, LayerKind, &'a P) -> Result<Q, E>,
-    ) -> Result<TransformerLayer<Q>, E> {
+        f: &mut impl FnMut(&str, LayerKind, &'a P) -> std::result::Result<Q, E>,
+    ) -> std::result::Result<TransformerLayer<Q>, E> {
         let (a, kind) = (&self.attn, LayerKind::Attention);
         let attn = Attention {
             wq: f(&format!("layer{li}.attn.wq"), kind, &a.wq)?,
@@ -66,7 +66,7 @@ impl<P> TransformerLayer<P> {
             wo: f(&format!("layer{li}.attn.wo"), kind, &a.wo)?,
             n_heads: a.n_heads,
         };
-        let mut mlp = |block: String, kind: LayerKind, m: &'a Mlp<P>| -> Result<Mlp<Q>, E> {
+        let mut mlp = |block: String, kind: LayerKind, m: &'a Mlp<P>| -> std::result::Result<Mlp<Q>, E> {
             Ok(Mlp {
                 w1: f(&format!("layer{li}.{block}.w1"), kind, &m.w1)?,
                 w2: f(&format!("layer{li}.{block}.w2"), kind, &m.w2)?,
@@ -79,10 +79,10 @@ impl<P> TransformerLayer<P> {
                 router: moe.router.clone(),
                 experts: (moe.experts.iter().enumerate())
                     .map(|(e, m)| mlp(format!("expert{e}"), LayerKind::Expert { index: e }, m))
-                    .collect::<Result<_, E>>()?,
+                    .collect::<std::result::Result<_, E>>()?,
                 shared: (moe.shared.iter().enumerate())
                     .map(|(s, m)| mlp(format!("shared{s}"), LayerKind::SharedExpert, m))
-                    .collect::<Result<_, E>>()?,
+                    .collect::<std::result::Result<_, E>>()?,
             }),
         };
         Ok(TransformerLayer { attn, ffn })
@@ -219,11 +219,11 @@ impl<P> MoeModel<P> {
     /// The first error `f` returns.
     pub fn try_map<'a, Q, E>(
         &'a self,
-        mut f: impl FnMut(&str, LayerKind, &'a P) -> Result<Q, E>,
-    ) -> Result<MoeModel<Q>, E> {
+        mut f: impl FnMut(&str, LayerKind, &'a P) -> std::result::Result<Q, E>,
+    ) -> std::result::Result<MoeModel<Q>, E> {
         let layers = (self.layers.iter().enumerate())
             .map(|(li, layer)| layer.try_map(li, &mut f))
-            .collect::<Result<_, E>>()?;
+            .collect::<std::result::Result<_, E>>()?;
         Ok(MoeModel {
             config: self.config.clone(),
             embed: self.embed.clone(),
@@ -269,14 +269,13 @@ impl<P: Linear> MoeModel<P> {
     ///
     /// [`MoeError::InvalidToken`] for out-of-vocabulary ids,
     /// [`MoeError::InvalidInput`] for an empty sequence, and
-    /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert,
-    /// each converted into the projection type's error; and the
-    /// projections' own errors.
+    /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert;
+    /// and the projections' own errors.
     pub fn forward_counting(
         &self,
         tokens: &[u32],
         counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         self.run(tokens, &ResilienceContext::strict(), &mut DecodeState::new(self), counts)
     }
 
@@ -286,7 +285,7 @@ impl<P: Linear> MoeModel<P> {
     /// # Errors
     ///
     /// See [`MoeModel::forward_counting`].
-    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix, P::Error> {
+    pub fn forward(&self, tokens: &[u32]) -> Result<Matrix> {
         self.forward_counting(tokens, None)
     }
 
@@ -305,7 +304,7 @@ impl<P: Linear> MoeModel<P> {
         &self,
         tokens: &[u32],
         ctx: &ResilienceContext,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         self.run(tokens, ctx, &mut DecodeState::new(self), None)
     }
 
@@ -321,14 +320,14 @@ impl<P: Linear> MoeModel<P> {
         ctx: &ResilienceContext,
         state: &mut DecodeState,
         counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         let _span = milo_obs::span(|| format!("{}.forward", P::METRIC_PREFIX));
         if tokens.is_empty() {
-            return Err(MoeError::InvalidInput("empty token sequence".into()).into());
+            return Err(MoeError::InvalidInput("empty token sequence".into()));
         }
         let vocab = self.config.vocab;
         if let Some(&token) = tokens.iter().find(|&&t| t as usize >= vocab) {
-            return Err(MoeError::InvalidToken { token, vocab }.into());
+            return Err(MoeError::InvalidToken { token, vocab });
         }
         state.check(self.layers.len(), self.config.d_model)?;
         let seen = state.len();
@@ -347,7 +346,7 @@ impl<P: Linear> MoeModel<P> {
         ctx: &ResilienceContext,
         state: &mut DecodeState,
         mut counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix, P::Error> {
+    ) -> Result<Matrix> {
         let prefix = P::METRIC_PREFIX;
         let d = self.config.d_model;
         let mut x = Matrix::zeros(tokens.len(), d);
@@ -360,23 +359,23 @@ impl<P: Linear> MoeModel<P> {
             // (or that a watchdog cancelled) unwinds at the next layer
             // boundary instead of running to completion.
             if ctx.is_cancelled() {
-                return Err(MoeError::Cancelled { layer: li }.into());
+                return Err(MoeError::Cancelled { layer: li });
             }
             let _span = milo_obs::span(|| format!("{prefix}.layer{{layer={li}}}"));
             let a = {
                 let _span = milo_obs::span(|| format!("{prefix}.attn"));
                 layer.attn.forward(&rms_norm(&x), keys, values)?
             };
-            x = x.add(&a).map_err(MoeError::from)?;
+            x = x.add(&a)?;
             let f = {
                 let _span = milo_obs::span(|| format!("{prefix}.ffn"));
                 let slot = counts.as_deref_mut().map(|c| c[li].as_mut_slice());
                 layer.ffn.forward(&rms_norm(&x), li, ctx, slot)?
             };
-            x = x.add(&f).map_err(MoeError::from)?;
+            x = x.add(&f)?;
         }
         if ctx.is_cancelled() {
-            return Err(MoeError::Cancelled { layer: self.layers.len() }.into());
+            return Err(MoeError::Cancelled { layer: self.layers.len() });
         }
 
         let logits = self.head.forward(&rms_norm(&x))?;
@@ -396,7 +395,7 @@ impl<P: Linear> MoeModel<P> {
         len: usize,
         temperature: f32,
         rng: &mut StdRng,
-    ) -> Result<Vec<u32>, P::Error> {
+    ) -> Result<Vec<u32>> {
         let mut state = DecodeState::new(self);
         let mut logits = self.prefill(prompt, &mut state)?;
         let mut tokens = prompt.to_vec();

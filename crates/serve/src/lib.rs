@@ -120,18 +120,10 @@ pub enum ServeError {
         /// The policy that selected it.
         policy: ShedPolicy,
     },
-    /// An expert failed and the failure is not retryable under the
-    /// request's fault mode / retry budget.
-    Expert {
-        /// Transformer layer index.
-        layer: usize,
-        /// Expert index within the layer.
-        expert: usize,
-        /// Failure cause.
-        reason: String,
-    },
-    /// A non-retryable engine error (invalid token, shape mismatch…).
-    Engine(String),
+    /// The model failed and the failure is not retried: a request
+    /// defect (invalid token, shape mismatch…), or an expert failure
+    /// when no retry budget is configured.
+    Model(milo_moe::MoeError),
     /// The server is shutting down and no longer admits requests.
     ShuttingDown,
     /// A worker panicked outside the isolated expert dispatch; the
@@ -153,10 +145,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }
             ServeError::Shed { policy } => write!(f, "shed by watchdog ({policy})"),
-            ServeError::Expert { layer, expert, reason } => {
-                write!(f, "expert {expert} of layer {layer} failed: {reason}")
-            }
-            ServeError::Engine(msg) => write!(f, "engine error: {msg}"),
+            ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::Internal(msg) => write!(f, "internal worker failure: {msg}"),
         }

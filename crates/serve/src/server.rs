@@ -7,7 +7,7 @@
 //!    │                    │                   │
 //!    │ Overloaded /       │ watchdog:         │ DeadlineExceeded{Layer} /
 //!    │ InvalidDeadline    │ DeadlineExceeded  │ RetriesExhausted /
-//!    ▼                    ▼ {Queued} / Shed   ▼ Expert / Engine / Internal
+//!    ▼                    ▼ {Queued} / Shed   ▼ Model / Internal
 //! ```
 //!
 //! Invariants the chaos soak asserts (see `milo-faults`):
@@ -26,7 +26,9 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use milo_moe::{FaultMode, HealthTracker, InjectedFault, ResilienceContext};
+use milo_moe::{
+    FaultMode, HealthTracker, InjectedFault, Linear, MoeError, MoeModel, ResilienceContext,
+};
 use milo_tensor::prng::SeedableRng;
 use milo_tensor::rng::StdRng;
 use milo_tensor::Matrix;
@@ -36,95 +38,45 @@ use crate::request::{Inflight, Request, Response, Ticket};
 use crate::retry::RetryPolicy;
 use crate::{Result, ServeError, ShedPolicy, Stage};
 
-/// How a single forward attempt failed, as reported by a
-/// [`ForwardModel`]. The server classifies these: `Expert` failures are
-/// transient (retryable), `Cancelled` maps to a deadline error, `Other`
-/// is a permanent request defect.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ForwardError {
-    /// An expert failed under strict fault handling.
-    Expert {
-        /// Transformer layer index.
-        layer: usize,
-        /// Expert index within the layer.
-        expert: usize,
-        /// Failure cause.
-        reason: String,
-    },
-    /// The request's cancel token fired at a layer boundary.
-    Cancelled {
-        /// The boundary at which cancellation was observed.
-        layer: usize,
-    },
-    /// Any other failure (invalid token, shape mismatch…); never
-    /// retried.
-    Other(String),
-}
+/// How a single forward attempt failed: the model's [`MoeError`], under
+/// the name the benchmark harness (`perfbench/src/serving.rs`) uses.
+pub use milo_moe::MoeError as ForwardError;
 
 /// A model the server can drive: one resilient forward pass per call.
 ///
-/// Implemented for [`milo_engine::PackedMoeModel`] (the deployment
-/// backend) and [`milo_moe::MoeModel`] (the dense reference), so tests
-/// can serve either.
+/// Implemented for [`milo_moe::MoeModel`] over any projection type — the
+/// dense reference and, through [`milo_engine::PackedMoeModel`], the
+/// deployment backend — and for closures, so tests and the soak driver
+/// can script failures without a real model. The server classifies the
+/// [`MoeError`]: `ExpertFailed` is retried, `Cancelled` is a deadline
+/// error, anything else fails the request as [`ServeError::Model`].
 pub trait ForwardModel: Send + Sync {
     /// Runs `tokens` through the model under `ctx`.
     ///
     /// # Errors
     ///
-    /// See [`ForwardError`].
-    fn forward(
-        &self,
-        tokens: &[u32],
-        ctx: &ResilienceContext,
-    ) -> std::result::Result<Matrix, ForwardError>;
+    /// The model's [`MoeError`].
+    fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix>;
+}
+
+impl<P: Linear + Send> ForwardModel for MoeModel<P> {
+    fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix> {
+        self.forward_resilient(tokens, ctx)
+    }
 }
 
 impl ForwardModel for milo_engine::PackedMoeModel {
-    fn forward(
-        &self,
-        tokens: &[u32],
-        ctx: &ResilienceContext,
-    ) -> std::result::Result<Matrix, ForwardError> {
-        self.forward_resilient(tokens, ctx).map_err(|e| match e {
-            milo_engine::EngineError::ExpertFailed { layer, expert, reason } => {
-                ForwardError::Expert { layer, expert, reason }
-            }
-            milo_engine::EngineError::Cancelled { layer } => ForwardError::Cancelled { layer },
-            other => ForwardError::Other(other.to_string()),
-        })
+    fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix> {
+        self.forward_resilient(tokens, ctx)
     }
 }
 
-/// Closures serve as models too — the soak driver and the test suite
-/// use this to script failure sequences without building a real model.
 impl<F> ForwardModel for F
 where
-    F: Fn(&[u32], &ResilienceContext) -> std::result::Result<Matrix, ForwardError>
-        + Send
-        + Sync,
+    F: Fn(&[u32], &ResilienceContext) -> milo_moe::Result<Matrix> + Send + Sync,
 {
-    fn forward(
-        &self,
-        tokens: &[u32],
-        ctx: &ResilienceContext,
-    ) -> std::result::Result<Matrix, ForwardError> {
+    fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix> {
         self(tokens, ctx)
-    }
-}
-
-impl ForwardModel for milo_moe::MoeModel {
-    fn forward(
-        &self,
-        tokens: &[u32],
-        ctx: &ResilienceContext,
-    ) -> std::result::Result<Matrix, ForwardError> {
-        self.forward_resilient(tokens, ctx).map_err(|e| match e {
-            milo_moe::MoeError::ExpertFailed { layer, expert, reason } => {
-                ForwardError::Expert { layer, expert, reason }
-            }
-            milo_moe::MoeError::Cancelled { layer } => ForwardError::Cancelled { layer },
-            other => ForwardError::Other(other.to_string()),
-        })
     }
 }
 
@@ -454,15 +406,10 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
                     latency: inflight.admitted.elapsed(),
                 });
             }
-            Err(ForwardError::Cancelled { layer }) => {
+            Err(MoeError::Cancelled { layer }) => {
                 return Err(ServeError::DeadlineExceeded { stage: Stage::Layer(layer) });
             }
-            Err(ForwardError::Other(msg)) => return Err(ServeError::Engine(msg)),
-            Err(ForwardError::Expert { layer, expert, reason }) => {
-                if policy.max_attempts <= 1 {
-                    // No retry budget configured: surface the raw failure.
-                    return Err(ServeError::Expert { layer, expert, reason });
-                }
+            Err(MoeError::ExpertFailed { reason, .. }) if policy.max_attempts > 1 => {
                 if attempts >= policy.max_attempts {
                     return Err(ServeError::RetriesExhausted { attempts, last: reason });
                 }
@@ -481,6 +428,9 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
                 milo_obs::counter_inc("serve.retry.total");
                 ctx.sleep_interruptible(delay);
             }
+            // A request defect, or an expert failure with no retry
+            // budget configured: surface the model's error as is.
+            Err(e) => return Err(ServeError::Model(e)),
         }
     }
 }
@@ -655,7 +605,7 @@ mod tests {
         let model: Arc<dyn ForwardModel> =
             Arc::new(move |_tokens: &[u32], _ctx: &ResilienceContext| {
                 if c.fetch_add(1, Ordering::SeqCst) == 0 {
-                    Err(ForwardError::Expert {
+                    Err(MoeError::ExpertFailed {
                         layer: 0,
                         expert: 1,
                         reason: "flaky".into(),
@@ -676,7 +626,7 @@ mod tests {
     fn persistent_failure_exhausts_retry_budget() {
         let model: Arc<dyn ForwardModel> =
             Arc::new(|_tokens: &[u32], _ctx: &ResilienceContext| {
-                Err(ForwardError::Expert { layer: 2, expert: 5, reason: "dead".into() })
+                Err(MoeError::ExpertFailed { layer: 2, expert: 5, reason: "dead".into() })
             });
         let server = Server::start(model, quick_cfg());
         let err = server.submit(Request::new(vec![1])).unwrap().wait().unwrap_err();
@@ -691,7 +641,7 @@ mod tests {
     fn no_retry_budget_surfaces_raw_expert_error() {
         let model: Arc<dyn ForwardModel> =
             Arc::new(|_tokens: &[u32], _ctx: &ResilienceContext| {
-                Err(ForwardError::Expert { layer: 1, expert: 0, reason: "dead".into() })
+                Err(MoeError::ExpertFailed { layer: 1, expert: 0, reason: "dead".into() })
             });
         let server = Server::start(
             model,
@@ -700,8 +650,24 @@ mod tests {
         let err = server.submit(Request::new(vec![1])).unwrap().wait().unwrap_err();
         assert_eq!(
             err,
-            ServeError::Expert { layer: 1, expert: 0, reason: "dead".into() }
+            ServeError::Model(MoeError::ExpertFailed {
+                layer: 1,
+                expert: 0,
+                reason: "dead".into()
+            })
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn invalid_token_is_a_model_error_and_never_retried() {
+        let model = MoeModel::synthesize(&milo_moe::MoeConfig::tiny_mixtral(), 3);
+        let vocab = model.config.vocab;
+        let server = Server::start(Arc::new(model), quick_cfg());
+        let token = vocab as u32;
+        let err = server.submit(Request::new(vec![1, token])).unwrap().wait().unwrap_err();
+        assert_eq!(err, ServeError::Model(MoeError::InvalidToken { token, vocab }));
+        assert_eq!(server.stats().retries, 0);
         server.shutdown();
     }
 
@@ -713,7 +679,7 @@ mod tests {
             Arc::new(|_tokens: &[u32], ctx: &ResilienceContext| {
                 ctx.sleep_interruptible(Duration::from_secs(5));
                 if ctx.is_cancelled() {
-                    return Err(ForwardError::Cancelled { layer: 3 });
+                    return Err(MoeError::Cancelled { layer: 3 });
                 }
                 Ok(Matrix::zeros(1, 1))
             });
@@ -785,7 +751,7 @@ mod tests {
     #[test]
     fn worker_panic_is_contained_as_internal_error() {
         let model: Arc<dyn ForwardModel> =
-            Arc::new(|_tokens: &[u32], _ctx: &ResilienceContext| -> std::result::Result<Matrix, ForwardError> {
+            Arc::new(|_tokens: &[u32], _ctx: &ResilienceContext| -> milo_moe::Result<Matrix> {
                 panic!("worker bug")
             });
         let server = Server::start(model, quick_cfg());

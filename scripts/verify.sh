@@ -5,7 +5,9 @@
 #    `[dev-dependencies]` / `[build-dependencies]` entry in every
 #    Cargo.toml must name a `milo-*` workspace crate. The workspace must
 #    build on a clean machine with no network and no crates-io mirror.
-# 2. Builds and tests fully offline.
+# 2. Builds and tests fully offline, and type-checks every target
+#    (benches, examples, binaries), so an API change cannot break a
+#    bench that no later step compiles.
 # 3. Smoke-runs the gemm bench in quick mode (MILO_BENCH_QUICK=1) and
 #    checks the recorded baseline `results/BENCH_gemm_threads.json` is
 #    emitted and is well-formed JSON.
@@ -77,7 +79,8 @@ echo "ok: all Cargo.toml dependencies are milo-* workspace crates"
 # --- 2. Offline build + test --------------------------------------------
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-echo "ok: offline release build and test suite passed"
+cargo check --workspace --all-targets --offline
+echo "ok: offline release build, test suite and all-targets check passed"
 
 # --- 3. Bench smoke (quick mode) -----------------------------------------
 # Run the gemm bench with the smoke configuration into a scratch baseline

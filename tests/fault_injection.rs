@@ -14,7 +14,7 @@
 //!    usable either way.
 
 use milo_core::{compress_model, MiloOptions, RankPolicy};
-use milo_engine::{EngineError, PackedMoeModel};
+use milo_engine::PackedMoeModel;
 use milo_faults::{corrupt_samples, fault_rng, kill_expert, poison_expert, truncation_points};
 use milo_moe::{layer_tensors, MoeConfig, MoeError, MoeModel, ResilienceContext};
 use milo_quant::HqqOptions;
@@ -148,7 +148,7 @@ fn packed_engine_survives_poisoned_and_killed_experts() {
         let strict = ResilienceContext::strict().with_fault(fault);
         assert!(matches!(
             engine.forward_resilient(&seq, &strict),
-            Err(EngineError::ExpertFailed { layer: 1, .. })
+            Err(MoeError::ExpertFailed { layer: 1, .. })
         ));
     }
     // Normal serving continues after both drills.

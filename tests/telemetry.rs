@@ -223,10 +223,8 @@ fn quarantine_emits_structured_event_exactly_once() {
 
 #[test]
 fn serving_metrics_cover_queue_retry_shed_and_latency() {
-    use milo::moe::ResilienceContext;
-    use milo::serve::{
-        ForwardError, ForwardModel, Request, RetryPolicy, Server, ServerConfig,
-    };
+    use milo::moe::{MoeError, ResilienceContext};
+    use milo::serve::{ForwardModel, Request, RetryPolicy, Server, ServerConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -241,7 +239,7 @@ fn serving_metrics_cover_queue_retry_shed_and_latency() {
     let flaky: Arc<dyn ForwardModel> =
         Arc::new(move |_tokens: &[u32], _ctx: &ResilienceContext| {
             if c.fetch_add(1, Ordering::SeqCst) == 0 {
-                Err(ForwardError::Expert {
+                Err(MoeError::ExpertFailed {
                     layer: 0,
                     expert: 0,
                     reason: "transient".into(),
