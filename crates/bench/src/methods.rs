@@ -100,24 +100,6 @@ pub fn run_gptq(
     outcome(reference, CompressedModel { layers }, seconds)
 }
 
-/// GPTQ with *captured* calibration activations — the faithful analogue
-/// of the paper's setup, where calibration data flows through the model.
-///
-/// Layers whose captured rows are too few for a well-conditioned Hessian
-/// (rarely-routed experts) are topped up with Gaussian rows matched to
-/// the captured scale; entirely-uncaptured layers fall back to isotropic
-/// synthetic calibration.
-pub fn run_gptq_captured(
-    reference: &MoeModel,
-    cfg: &QuantConfig,
-    activations: &std::collections::HashMap<String, milo_tensor::Matrix>,
-    seed: u64,
-) -> Result<CompressionOutcome, BoxError> {
-    let tensors = layer_tensors(reference, None);
-    let (records, seconds) = time_it(|| gptq_records(&tensors, activations, cfg, seed));
-    outcome(reference, CompressedModel { layers: records? }, seconds)
-}
-
 /// Quantizes a set of tensors with GPTQ against captured activations,
 /// topping up thin capture sets so the Hessian stays well-conditioned.
 fn gptq_records(

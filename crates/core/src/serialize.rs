@@ -1,15 +1,15 @@
 //! Binary serialization of compressed models — the "save the quantized
 //! model to `<YOUR_DIR>`" workflow of the paper's artifact (Appendix F).
 //!
-//! Format (all little endian): a `MILO` magic + version, then the layer
-//! records. Each record carries its name, policy metadata, rank, the
+//! A `MILO` artifact is an [`ArtifactFormat`] container (magic, version,
+//! layer count, then one record per layer; see [`milo_tensor::io`]) with
+//! no header. Each record carries its name, policy metadata, rank, the
 //! quantized weight (via `milo-quant`'s format), an optional compensator
 //! (FP32 factors or quantized factors), and the convergence history.
 //!
-//! Since version 2 every layer record is a *checksummed section*
-//! (`u64` length + CRC-32 + payload, see [`milo_tensor::io`]): a flipped
-//! bit or a truncated file is reported as a typed
-//! [`CorruptSection`] error naming the
+//! Since version 2 every record is a checksummed section: a flipped bit
+//! or a truncated file is reported as a typed
+//! [`CorruptSection`](milo_tensor::io::CorruptSection) error naming the
 //! offending layer, never as silently-garbage weights. Version 1
 //! artifacts (no checksums) are still read.
 
@@ -19,24 +19,16 @@ use crate::optimizer::CompressedLayer;
 use crate::policy::{LayerKind, LayerMeta};
 use milo_quant::serialize::{read_quantized, write_quantized};
 use milo_tensor::io::{
-    expect_tag, read_f32, read_f32_vec, read_matrix, read_section_lenient, read_string,
-    read_u32, read_u64, write_f32, write_f32_slice, write_matrix, write_section,
-    write_string, write_tag, write_u32, write_u64, CorruptSection, IntegrityReport,
-    SectionFault, SectionReport,
+    invalid, read_f32, read_f32_vec, read_matrix, read_string, read_u32, read_u64, write_f32,
+    write_f32_slice, write_matrix, write_string, write_u32, write_u64, ArtifactFormat,
+    IntegrityReport, LEGACY_VERSION, VERSION,
 };
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 4] = b"MILO";
-/// Current format version (checksummed sections).
-const VERSION: u32 = 2;
-/// The pre-checksum format; still accepted by the reader.
-const LEGACY_VERSION: u32 = 1;
-/// Sanity limit on the layer count read from a (possibly corrupt) header.
-const MAX_LAYERS: u64 = 1 << 24;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
+/// The `MILO` container: no header, one record per compressed layer,
+/// labelled with the layer's name.
+const FORMAT: ArtifactFormat =
+    ArtifactFormat { magic: b"MILO", header: false, max_records: 1 << 24, label };
 
 fn write_kind(w: &mut impl Write, kind: LayerKind) -> io::Result<()> {
     match kind {
@@ -148,35 +140,16 @@ fn read_layer_record(r: &mut impl Read) -> io::Result<LayerRecord> {
     })
 }
 
-/// Best-effort upgrade of a corrupt-section error with the layer's name,
-/// which sits (length-prefixed) at the front of the payload and often
-/// survives a mid-record flip.
-fn name_section(fault: CorruptSection, index: usize, payload: &[u8]) -> CorruptSection {
-    let mut section = format!("layer {index}");
-    if let Ok(name) = read_string(&mut Cursor::new(payload)) {
-        if !name.is_empty() && name.len() <= 256 && name.chars().all(|c| !c.is_control()) {
-            section = format!("layer {index} ({name})");
-        }
+/// The layer name at the front of a record payload, when a plausible one
+/// is there (the payload may be damaged).
+fn label(payload: &[u8]) -> Option<String> {
+    let mut r = payload;
+    let len = read_u64(&mut r).ok()?;
+    if !(1..=256).contains(&len) {
+        return None;
     }
-    CorruptSection { section, ..fault }
-}
-
-fn read_layer_count(r: &mut impl Read) -> io::Result<usize> {
-    let n = read_u64(r)?;
-    if n > MAX_LAYERS {
-        return Err(invalid(format!("layer count {n} exceeds sanity limit")));
-    }
-    Ok(n as usize)
-}
-
-/// Errors if the stream still holds bytes — a corrupt layer count must
-/// not silently drop trailing layers.
-fn expect_eof(r: &mut impl Read) -> io::Result<()> {
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(()),
-        _ => Err(invalid("trailing data after final layer (corrupt layer count?)")),
-    }
+    let name = std::str::from_utf8(r.get(..len as usize)?).ok()?;
+    (!name.chars().any(char::is_control)).then(|| name.to_string())
 }
 
 /// Writes a compressed model to a binary stream (current format: version
@@ -186,15 +159,7 @@ fn expect_eof(r: &mut impl Read) -> io::Result<()> {
 ///
 /// Propagates IO failures.
 pub fn write_compressed_model(w: &mut impl Write, model: &CompressedModel) -> io::Result<()> {
-    write_tag(w, MAGIC)?;
-    write_u32(w, VERSION)?;
-    write_u64(w, model.layers.len() as u64)?;
-    for rec in &model.layers {
-        let mut payload = Vec::new();
-        write_layer_record(&mut payload, rec)?;
-        write_section(w, &payload)?;
-    }
-    Ok(())
+    FORMAT.write(w, VERSION, &[], &model.layers, write_layer_record)
 }
 
 /// Writes a compressed model in the legacy version-1 layout (no
@@ -209,13 +174,7 @@ pub fn write_compressed_model_v1(
     w: &mut impl Write,
     model: &CompressedModel,
 ) -> io::Result<()> {
-    write_tag(w, MAGIC)?;
-    write_u32(w, LEGACY_VERSION)?;
-    write_u64(w, model.layers.len() as u64)?;
-    for rec in &model.layers {
-        write_layer_record(w, rec)?;
-    }
-    Ok(())
+    FORMAT.write(w, LEGACY_VERSION, &[], &model.layers, write_layer_record)
 }
 
 /// Reads a compressed model from a binary stream (versions 1 and 2).
@@ -223,113 +182,27 @@ pub fn write_compressed_model_v1(
 /// # Errors
 ///
 /// Returns `InvalidData` for malformed input or unsupported versions.
-/// For version-2 artifacts a checksum failure or truncation surfaces as
-/// a typed [`CorruptSection`] (recoverable from the error via
-/// [`milo_tensor::io::corrupt_section_info`]) naming the offending
-/// layer.
+/// For version-2 artifacts a checksum failure, truncation or malformed
+/// record surfaces as a typed
+/// [`CorruptSection`](milo_tensor::io::CorruptSection) (recoverable from
+/// the error via [`milo_tensor::io::corrupt_section_info`]) naming the
+/// offending layer.
 pub fn read_compressed_model(r: &mut impl Read) -> io::Result<CompressedModel> {
-    expect_tag(r, MAGIC)?;
-    let version = read_u32(r)?;
-    let n = match version {
-        LEGACY_VERSION | VERSION => read_layer_count(r)?,
-        other => return Err(invalid(format!("unsupported format version {other}"))),
-    };
-    let mut layers = Vec::with_capacity(n.min(1 << 12));
-    for i in 0..n {
-        if version == LEGACY_VERSION {
-            layers.push(read_layer_record(r)?);
-            continue;
-        }
-        let (payload, fault) = read_section_lenient(r, &format!("layer {i}"))?;
-        if let Some(fault) = fault {
-            return Err(name_section(fault, i, &payload).into());
-        }
-        let mut cur = Cursor::new(payload.as_slice());
-        let rec = read_layer_record(&mut cur)
-            .map_err(|e| invalid(format!("layer {i}: {e}")))?;
-        if cur.position() != payload.len() as u64 {
-            return Err(invalid(format!(
-                "layer {i} ({}): record shorter than its section",
-                rec.name
-            )));
-        }
-        layers.push(rec);
-    }
-    if version == VERSION {
-        expect_eof(r)?;
-    }
+    let ((), layers) = FORMAT.read(r, &mut |_| Ok(()), &mut |mut r| read_layer_record(&mut r))?;
     Ok(CompressedModel { layers })
 }
 
-/// Walks a compressed-model stream verifying every section checksum
-/// without materializing the model, reporting per-layer integrity. Keeps
-/// scanning past checksum mismatches (the framing is still intact);
-/// stops only when the stream can no longer be followed (truncation).
-///
-/// Version-1 artifacts carry no checksums; the report says so
-/// (`checksummed == false`) and lists no sections.
+/// Walks a compressed-model stream verifying every section, decoding one
+/// layer at a time, and reports per-layer integrity (see
+/// [`ArtifactFormat::verify`]). Version-1 artifacts carry no checksums;
+/// the report says so (`checksummed == false`) and lists no sections.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` only if the stream is not a `MILO` artifact at
 /// all (bad magic / unknown version / implausible layer count).
 pub fn verify_compressed_stream(r: &mut impl Read) -> io::Result<IntegrityReport> {
-    expect_tag(r, MAGIC)?;
-    let version = read_u32(r)?;
-    if version == LEGACY_VERSION {
-        return Ok(IntegrityReport {
-            version,
-            checksummed: false,
-            sections: Vec::new(),
-            trailing_data: false,
-        });
-    }
-    if version != VERSION {
-        return Err(invalid(format!("unsupported format version {version}")));
-    }
-    let n = read_layer_count(r)?;
-    let mut sections = Vec::with_capacity(n.min(1 << 12));
-    for i in 0..n {
-        match read_section_lenient(r, &format!("layer {i}")) {
-            Ok((payload, fault)) => {
-                let name = match &fault {
-                    None => {
-                        // Checksum passed: the payload parses, so take the
-                        // authoritative name from the record itself.
-                        read_layer_record(&mut Cursor::new(payload.as_slice()))
-                            .map(|rec| format!("layer {i} ({})", rec.name))
-                            .unwrap_or_else(|_| format!("layer {i}"))
-                    }
-                    Some(f) => name_section(f.clone(), i, &payload).section,
-                };
-                sections.push(SectionReport {
-                    name,
-                    bytes: payload.len() as u64,
-                    fault: fault.map(|f| f.fault),
-                });
-            }
-            Err(e) => {
-                // Truncated or oversized: the stream cannot be followed
-                // past this point.
-                let fault = milo_tensor::io::corrupt_section_info(&e)
-                    .map(|c| c.fault.clone())
-                    .unwrap_or(SectionFault::Truncated);
-                sections.push(SectionReport {
-                    name: format!("layer {i}"),
-                    bytes: 0,
-                    fault: Some(fault),
-                });
-                return Ok(IntegrityReport {
-                    version,
-                    checksummed: true,
-                    sections,
-                    trailing_data: false,
-                });
-            }
-        }
-    }
-    let trailing_data = expect_eof(r).is_err();
-    Ok(IntegrityReport { version, checksummed: true, sections, trailing_data })
+    FORMAT.verify(r, &mut |_| Ok(()), &mut |mut r| read_layer_record(&mut r))
 }
 
 /// Saves a compressed model to a file.

@@ -1,12 +1,5 @@
-//! Wall-clock timing helpers for quantization-cost experiments
-//! (paper Table 1 and Fig. 8).
-//!
-//! [`Timings`] keeps its original `(name, seconds)` API, but
-//! [`Timings::measure`] is now a thin shim over the `milo-obs` span
-//! layer: each measured section also lands in the global telemetry
-//! registry as an `eval.{name}` span (and in the Chrome trace at trace
-//! level), so harness phases appear alongside engine/kernel spans in
-//! `milo-cli stats` without any caller changes.
+//! Wall-clock timing helper for quantization-cost experiments (paper
+//! Table 1 and Fig. 8).
 
 use std::time::Instant;
 
@@ -15,52 +8,6 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
-}
-
-/// Accumulates named timing measurements.
-#[derive(Debug, Default, Clone)]
-pub struct Timings {
-    entries: Vec<(String, f64)>,
-}
-
-impl Timings {
-    /// Creates an empty set of timings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a measurement.
-    pub fn record(&mut self, name: impl Into<String>, seconds: f64) {
-        self.entries.push((name.into(), seconds));
-    }
-
-    /// Runs and records `f` under `name`, returning its output. Also
-    /// opens an `eval.{name}` telemetry span around `f`, so the harness
-    /// phase shows up in the global metric registry and Chrome trace.
-    pub fn measure<T>(&mut self, name: impl Into<String>, f: impl FnOnce() -> T) -> T {
-        let name = name.into();
-        let (out, secs) = {
-            let _span = milo_obs::span(|| format!("eval.{name}"));
-            time_it(f)
-        };
-        self.record(name, secs);
-        out
-    }
-
-    /// The recorded `(name, seconds)` pairs, in insertion order.
-    pub fn entries(&self) -> &[(String, f64)] {
-        &self.entries
-    }
-
-    /// Looks up a measurement by name (first match).
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.entries.iter().find(|(n, _)| n == name).map(|&(_, s)| s)
-    }
-
-    /// Sum of all recorded seconds.
-    pub fn total(&self) -> f64 {
-        self.entries.iter().map(|&(_, s)| s).sum()
-    }
 }
 
 #[cfg(test)]
@@ -72,18 +19,5 @@ mod tests {
         let (v, secs) = time_it(|| (0..1000).sum::<u64>());
         assert_eq!(v, 499_500);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn timings_accumulate() {
-        let mut t = Timings::new();
-        t.record("a", 1.0);
-        let out = t.measure("b", || 42);
-        assert_eq!(out, 42);
-        assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.get("a"), Some(1.0));
-        assert!(t.get("b").unwrap() >= 0.0);
-        assert!(t.total() >= 1.0);
-        assert_eq!(t.get("missing"), None);
     }
 }

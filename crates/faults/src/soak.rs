@@ -35,7 +35,7 @@ use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
 use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeError, MoeModel};
 use milo_quant::HqqOptions;
-use milo_serve::{Request, RetryPolicy, ServeError, Server, ServerConfig, ShedPolicy, Ticket};
+use milo_serve::{Request, RetryPolicy, ServeError, Server, ServerConfig, Ticket};
 use milo_tensor::prng::{Rng, SeedableRng};
 use milo_tensor::rng::StdRng;
 
@@ -267,7 +267,7 @@ fn settle(pending: Vec<Pending>, epsilon: Duration, tally: &mut Tally) {
                 match outcome {
                     Ok(_) => tally.ok += 1,
                     Err(ServeError::DeadlineExceeded { .. }) => tally.deadline_exceeded += 1,
-                    Err(ServeError::Shed { .. }) => tally.shed += 1,
+                    Err(ServeError::Shed) => tally.shed += 1,
                     Err(ServeError::RetriesExhausted { .. }) => tally.retries_exhausted += 1,
                     Err(ServeError::Model(MoeError::ExpertFailed { .. })) => {
                         tally.expert_errors += 1;
@@ -305,7 +305,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             queue_capacity: cfg.queue_capacity,
             default_deadline: Some(cfg.deadline),
             retry: RetryPolicy::default(),
-            shed_policy: ShedPolicy::OldestFirst,
             mode: FaultMode::Degrade,
             seed: cfg.seed,
             breaker_cooldown: cfg.breaker_cooldown,

@@ -39,11 +39,6 @@ impl Mlp {
         Self { w1, w2, w3 }
     }
 
-    /// Hidden (FFN) dimension.
-    pub fn ffn_dim(&self) -> usize {
-        self.w1.rows()
-    }
-
     /// Model dimension.
     pub fn d_model(&self) -> usize {
         self.w1.cols()

@@ -3,12 +3,13 @@
 //! (the role the HuggingFace checkpoint directory plays in the paper's
 //! artifact).
 //!
-//! Since version 2 the stream is split into checksummed sections (see
-//! [`milo_tensor::io`]): one for the model header (config + embeddings +
-//! output head) and one per transformer layer. Corruption or truncation
-//! surfaces as a typed [`CorruptSection`](milo_tensor::io::CorruptSection)
-//! error naming the damaged section; version-1 artifacts (no checksums)
-//! are still read.
+//! A `MOEM` artifact is an [`ArtifactFormat`] container (see
+//! [`milo_tensor::io`]): a model header (config + embeddings + output
+//! head), the layer count, then one record per transformer layer. Since
+//! version 2 the header and every layer are checksummed sections, so
+//! corruption or truncation surfaces as a typed
+//! [`CorruptSection`](milo_tensor::io::CorruptSection) error naming the
+//! damaged section; version-1 artifacts (no checksums) are still read.
 
 use crate::attention::Attention;
 use crate::config::MoeConfig;
@@ -16,24 +17,15 @@ use crate::mlp::Mlp;
 use crate::model::{FfnBlock, MoeBlock, MoeModel, TransformerLayer};
 use crate::router::Router;
 use milo_tensor::io::{
-    expect_tag, read_f32, read_f32_vec, read_matrix, read_section_lenient, read_string,
-    read_u32, read_u64, write_f32, write_f32_slice, write_matrix, write_section,
-    write_string, write_tag, write_u32, write_u64, IntegrityReport, SectionFault,
-    SectionReport,
+    invalid, read_f32, read_f32_vec, read_matrix, read_string, read_u32, read_u64, write_f32,
+    write_f32_slice, write_matrix, write_string, write_u32, write_u64, ArtifactFormat,
+    IntegrityReport, LEGACY_VERSION, VERSION,
 };
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 4] = b"MOEM";
-/// Current format version (checksummed sections).
-const VERSION: u32 = 2;
-/// The pre-checksum format; still accepted by the reader.
-const LEGACY_VERSION: u32 = 1;
-/// Sanity limit on the layer count read from a (possibly corrupt) header.
-const MAX_LAYERS: u64 = 1 << 16;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
+/// The `MOEM` container: a model header, then one record per layer.
+const FORMAT: ArtifactFormat =
+    ArtifactFormat { magic: b"MOEM", header: true, max_records: 1 << 16, label: |_| None };
 
 fn write_config(w: &mut impl Write, c: &MoeConfig) -> io::Result<()> {
     write_string(w, &c.name)?;
@@ -189,20 +181,11 @@ fn read_layer(r: &mut impl Read) -> io::Result<TransformerLayer> {
     Ok(TransformerLayer { attn, ffn })
 }
 
-fn read_layer_count(r: &mut impl Read) -> io::Result<usize> {
-    let n = read_u64(r)?;
-    if n > MAX_LAYERS {
-        return Err(invalid("layer count exceeds sanity limit"));
-    }
-    Ok(n as usize)
-}
-
-fn expect_eof(r: &mut impl Read) -> io::Result<()> {
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe)? {
-        0 => Ok(()),
-        _ => Err(invalid("trailing data after final layer (corrupt layer count?)")),
-    }
+/// Writes an [`MoeModel`] in `version`.
+fn write_version(w: &mut impl Write, model: &MoeModel, version: u32) -> io::Result<()> {
+    let mut header = Vec::new();
+    write_header(&mut header, model)?;
+    FORMAT.write(w, version, &header, &model.layers, write_layer)
 }
 
 /// Writes an [`MoeModel`] to a binary stream (current format: version 2,
@@ -212,18 +195,7 @@ fn expect_eof(r: &mut impl Read) -> io::Result<()> {
 ///
 /// Propagates IO failures.
 pub fn write_model(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
-    write_tag(w, MAGIC)?;
-    write_u32(w, VERSION)?;
-    let mut header = Vec::new();
-    write_header(&mut header, model)?;
-    write_section(w, &header)?;
-    write_u64(w, model.layers.len() as u64)?;
-    for layer in &model.layers {
-        let mut payload = Vec::new();
-        write_layer(&mut payload, layer)?;
-        write_section(w, &payload)?;
-    }
-    Ok(())
+    write_version(w, model, VERSION)
 }
 
 /// Writes an [`MoeModel`] in the legacy version-1 layout (no checksums).
@@ -233,14 +205,7 @@ pub fn write_model(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
 ///
 /// Propagates IO failures.
 pub fn write_model_v1(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
-    write_tag(w, MAGIC)?;
-    write_u32(w, LEGACY_VERSION)?;
-    write_header(w, model)?;
-    write_u64(w, model.layers.len() as u64)?;
-    for layer in &model.layers {
-        write_layer(w, layer)?;
-    }
-    Ok(())
+    write_version(w, model, LEGACY_VERSION)
 }
 
 /// Reads an [`MoeModel`] from a binary stream (versions 1 and 2).
@@ -248,116 +213,25 @@ pub fn write_model_v1(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns `InvalidData` for malformed input or unsupported versions.
-/// For version-2 artifacts a checksum failure or truncation surfaces as
-/// a typed [`CorruptSection`](milo_tensor::io::CorruptSection) naming
-/// the damaged section.
+/// For version-2 artifacts a checksum failure, truncation or malformed
+/// section surfaces as a typed
+/// [`CorruptSection`](milo_tensor::io::CorruptSection) naming the
+/// damaged section.
 pub fn read_model(r: &mut impl Read) -> io::Result<MoeModel> {
-    expect_tag(r, MAGIC)?;
-    let version = read_u32(r)?;
-    match version {
-        LEGACY_VERSION => {
-            let (config, embed, head) = read_header(r)?;
-            let n_layers = read_layer_count(r)?;
-            let mut layers = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
-                layers.push(read_layer(r)?);
-            }
-            Ok(MoeModel { config, embed, head, layers })
-        }
-        VERSION => {
-            let header = read_checked_section(r, "model header")?;
-            let (config, embed, head) = read_header(&mut Cursor::new(header))?;
-            let n_layers = read_layer_count(r)?;
-            let mut layers = Vec::with_capacity(n_layers);
-            for i in 0..n_layers {
-                let payload = read_checked_section(r, &format!("layer {i}"))?;
-                let layer = read_layer(&mut Cursor::new(payload))
-                    .map_err(|e| invalid(format!("layer {i}: {e}")))?;
-                layers.push(layer);
-            }
-            expect_eof(r)?;
-            Ok(MoeModel { config, embed, head, layers })
-        }
-        other => Err(invalid(format!("unsupported model format version {other}"))),
-    }
+    let ((config, embed, head), layers) =
+        FORMAT.read(r, &mut |mut r| read_header(&mut r), &mut |mut r| read_layer(&mut r))?;
+    Ok(MoeModel { config, embed, head, layers })
 }
 
-/// Reads a section and promotes a checksum mismatch to an error.
-fn read_checked_section(r: &mut impl Read, name: &str) -> io::Result<Vec<u8>> {
-    let (payload, fault) = read_section_lenient(r, name)?;
-    match fault {
-        None => Ok(payload),
-        Some(c) => Err(c.into()),
-    }
-}
-
-/// Walks a model stream verifying every section checksum without
-/// materializing the model, reporting per-section integrity. Keeps
-/// scanning past checksum mismatches; stops only on truncation.
+/// Walks a model stream verifying every section, decoding one at a time,
+/// and reports per-section integrity (see [`ArtifactFormat::verify`]).
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` only if the stream is not a `MOEM` artifact at
 /// all (bad magic / unknown version / implausible layer count).
 pub fn verify_model_stream(r: &mut impl Read) -> io::Result<IntegrityReport> {
-    expect_tag(r, MAGIC)?;
-    let version = read_u32(r)?;
-    if version == LEGACY_VERSION {
-        return Ok(IntegrityReport {
-            version,
-            checksummed: false,
-            sections: Vec::new(),
-            trailing_data: false,
-        });
-    }
-    if version != VERSION {
-        return Err(invalid(format!("unsupported model format version {version}")));
-    }
-    fn scan<R: Read>(
-        r: &mut R,
-        name: String,
-        sections: &mut Vec<SectionReport>,
-    ) -> bool {
-        match read_section_lenient(r, &name) {
-            Ok((payload, fault)) => {
-                sections.push(SectionReport {
-                    name,
-                    bytes: payload.len() as u64,
-                    fault: fault.map(|f| f.fault),
-                });
-                true
-            }
-            Err(e) => {
-                let fault = milo_tensor::io::corrupt_section_info(&e)
-                    .map(|c| c.fault.clone())
-                    .unwrap_or(SectionFault::Truncated);
-                sections.push(SectionReport { name, bytes: 0, fault: Some(fault) });
-                false
-            }
-        }
-    }
-    let mut sections = Vec::new();
-    if !scan(r, "model header".to_string(), &mut sections) {
-        return Ok(IntegrityReport { version, checksummed: true, sections, trailing_data: false });
-    }
-    let n_layers = match read_layer_count(r) {
-        Ok(n) => n,
-        Err(_) => {
-            sections.push(SectionReport {
-                name: "layer table".to_string(),
-                bytes: 0,
-                fault: Some(SectionFault::Truncated),
-            });
-            return Ok(IntegrityReport { version, checksummed: true, sections, trailing_data: false });
-        }
-    };
-    for i in 0..n_layers {
-        if !scan(r, format!("layer {i}"), &mut sections) {
-            return Ok(IntegrityReport { version, checksummed: true, sections, trailing_data: false });
-        }
-    }
-    let trailing_data = expect_eof(r).is_err();
-    Ok(IntegrityReport { version, checksummed: true, sections, trailing_data })
+    FORMAT.verify(r, &mut |mut r| read_header(&mut r), &mut |mut r| read_layer(&mut r))
 }
 
 /// Saves a model to a file.

@@ -27,7 +27,7 @@
 //!   experts are re-probed and re-admitted deterministically.
 //! * **Watchdog + load shedding** — a watchdog thread cancels in-flight
 //!   requests past their deadline and, when workers are stalled, sheds
-//!   queued load deterministically under a selectable [`ShedPolicy`].
+//!   queued load deterministically, oldest request first.
 //!
 //! Fault-free serving is *bit-identical* to calling the model's
 //! `forward_resilient` directly: admission, deadlines, and breakers only
@@ -66,27 +66,6 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// How the watchdog picks victims when shedding queued load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Shed the request that has waited longest (head-of-line drop):
-    /// the oldest request is the most likely to miss its deadline
-    /// anyway.
-    #[default]
-    OldestFirst,
-    /// Shed the lowest-priority request, breaking ties oldest-first.
-    LowestPriority,
-}
-
-impl std::fmt::Display for ShedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShedPolicy::OldestFirst => write!(f, "oldest-first"),
-            ShedPolicy::LowestPriority => write!(f, "lowest-priority"),
-        }
-    }
-}
-
 /// Typed request-lifecycle errors. Every admitted request terminates
 /// with either a [`Response`] or exactly one of these.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,12 +93,9 @@ pub enum ServeError {
         /// Reason of the last failure.
         last: String,
     },
-    /// The watchdog shed this request from the queue to relieve
-    /// overload.
-    Shed {
-        /// The policy that selected it.
-        policy: ShedPolicy,
-    },
+    /// The watchdog shed this request, the oldest queued one, to
+    /// relieve overload.
+    Shed,
     /// The model failed and the failure is not retried: a request
     /// defect (invalid token, shape mismatch…), or an expert failure
     /// when no retry budget is configured.
@@ -144,7 +120,7 @@ impl std::fmt::Display for ServeError {
             ServeError::RetriesExhausted { attempts, last } => {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }
-            ServeError::Shed { policy } => write!(f, "shed by watchdog ({policy})"),
+            ServeError::Shed => write!(f, "shed by watchdog (oldest-first)"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::ShuttingDown => write!(f, "server shutting down"),
             ServeError::Internal(msg) => write!(f, "internal worker failure: {msg}"),

@@ -15,9 +15,6 @@ use crate::Result;
 pub struct Request {
     /// Token ids to run through the model.
     pub tokens: Vec<u32>,
-    /// Scheduling priority (higher = more important; only consulted by
-    /// [`ShedPolicy::LowestPriority`](crate::ShedPolicy::LowestPriority)).
-    pub priority: u8,
     /// Per-request deadline budget; `None` falls back to the server's
     /// default (which may itself be `None` = no deadline).
     pub deadline: Option<Duration>,
@@ -26,22 +23,15 @@ pub struct Request {
 }
 
 impl Request {
-    /// A default-priority request with no per-request overrides.
+    /// A request with no per-request overrides.
     pub fn new(tokens: Vec<u32>) -> Self {
-        Request { tokens, priority: 0, deadline: None, mode: None }
+        Request { tokens, deadline: None, mode: None }
     }
 
     /// Sets the deadline budget.
     #[must_use]
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Sets the scheduling priority.
-    #[must_use]
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
         self
     }
 
@@ -76,7 +66,6 @@ pub(crate) const STATE_DONE: u8 = 2;
 pub(crate) struct Inflight {
     pub(crate) id: u64,
     pub(crate) tokens: Vec<u32>,
-    pub(crate) priority: u8,
     pub(crate) mode: FaultMode,
     pub(crate) admitted: Instant,
     pub(crate) deadline: Option<Instant>,
@@ -92,7 +81,6 @@ impl Inflight {
     pub(crate) fn new(
         id: u64,
         tokens: Vec<u32>,
-        priority: u8,
         mode: FaultMode,
         deadline: Option<Instant>,
     ) -> Self {
@@ -103,7 +91,6 @@ impl Inflight {
         Inflight {
             id,
             tokens,
-            priority,
             mode,
             admitted: Instant::now(),
             deadline,

@@ -36,7 +36,7 @@ use milo_tensor::Matrix;
 use crate::queue::{Bounded, PushError};
 use crate::request::{Inflight, Request, Response, Ticket};
 use crate::retry::RetryPolicy;
-use crate::{Result, ServeError, ShedPolicy, Stage};
+use crate::{Result, ServeError, Stage};
 
 /// How a single forward attempt failed: the model's [`MoeError`], under
 /// the name the benchmark harness (`perfbench/src/serving.rs`) uses.
@@ -93,8 +93,6 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Retry budget and backoff shape for retryable failures.
     pub retry: RetryPolicy,
-    /// Victim selection when the watchdog sheds queued load.
-    pub shed_policy: ShedPolicy,
     /// Fault mode for requests that do not carry their own.
     pub mode: FaultMode,
     /// Seed for retry jitter; each request derives its own RNG from
@@ -114,7 +112,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             default_deadline: None,
             retry: RetryPolicy::default(),
-            shed_policy: ShedPolicy::OldestFirst,
             mode: FaultMode::Degrade,
             seed: 0x4D69_4C6F, // "MiLo"
             breaker_cooldown: 8,
@@ -232,7 +229,7 @@ impl Server {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = budget.map(|b| Instant::now() + b);
         let mode = req.mode.unwrap_or(self.shared.cfg.mode);
-        let inflight = Arc::new(Inflight::new(id, req.tokens, req.priority, mode, deadline));
+        let inflight = Arc::new(Inflight::new(id, req.tokens, mode, deadline));
         self.shared
             .registry
             .lock()
@@ -275,11 +272,6 @@ impl Server {
     /// The shared circuit-breaker ledger.
     pub fn health(&self) -> &Arc<HealthTracker> {
         &self.shared.health
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Snapshot of the server counters.
@@ -478,33 +470,20 @@ fn watchdog_loop(shared: &Shared) {
             });
         }
         // Workers are stalled past deadline: relieve pressure by
-        // shedding one queued victim per stalled worker, selected by
-        // the configured policy.
+        // shedding one queued victim per stalled worker, oldest first
+        // (smaller id = admitted earlier = higher score): the oldest
+        // request is the most likely to miss its deadline anyway.
         for _ in 0..stalled {
-            let policy = shared.cfg.shed_policy;
-            let Some(victim) = shared.queue.remove_worst(|e| shed_score(policy, e)) else {
+            let Some(victim) = shared.queue.remove_worst(|e| u64::MAX - e.id) else {
                 break;
             };
-            if victim.resolve_queued(Err(ServeError::Shed { policy })) {
+            if victim.resolve_queued(Err(ServeError::Shed)) {
                 shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                 milo_obs::counter_inc("serve.shed.total");
                 milo_obs::counter_inc("serve.failed.total");
                 milo_obs::gauge_set("serve.queue.depth", shared.queue.len() as f64);
             }
-        }
-    }
-}
-
-/// Victim score for load shedding: the queue removes the max.
-fn shed_score(policy: ShedPolicy, e: &Arc<Inflight>) -> u64 {
-    match policy {
-        // Oldest first: smaller id = admitted earlier = higher score.
-        ShedPolicy::OldestFirst => u64::MAX - e.id,
-        // Lowest priority first, oldest within a priority class (ids
-        // stay well under 2^56, so the mask never loses ordering).
-        ShedPolicy::LowestPriority => {
-            (u64::from(u8::MAX - e.priority) << 56) | ((u64::MAX - e.id) & ((1 << 56) - 1))
         }
     }
 }
@@ -711,12 +690,7 @@ mod tests {
             });
         let server = Server::start(
             model,
-            ServerConfig {
-                workers: 1,
-                queue_capacity: 8,
-                shed_policy: ShedPolicy::OldestFirst,
-                ..quick_cfg()
-            },
+            ServerConfig { workers: 1, queue_capacity: 8, ..quick_cfg() },
         );
         let stalled = server
             .submit(Request::new(vec![1]).with_deadline(Duration::from_millis(15)))
@@ -733,10 +707,7 @@ mod tests {
         let mut shed = 0;
         for t in queued {
             match t.wait() {
-                Err(ServeError::Shed { policy }) => {
-                    assert_eq!(policy, ShedPolicy::OldestFirst);
-                    shed += 1;
-                }
+                Err(ServeError::Shed) => shed += 1,
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
@@ -799,25 +770,5 @@ mod tests {
             Ok(_) | Err(ServeError::ShuttingDown) => {}
             other => panic!("unexpected queued outcome {other:?}"),
         }
-    }
-
-    #[test]
-    fn lowest_priority_shed_picks_low_priority_victim() {
-        let e = |id: u64, priority: u8| {
-            Arc::new(Inflight::new(id, vec![], priority, FaultMode::Degrade, None))
-        };
-        let high = e(0, 9);
-        let low = e(1, 1);
-        assert!(
-            shed_score(ShedPolicy::LowestPriority, &low)
-                > shed_score(ShedPolicy::LowestPriority, &high)
-        );
-        // Same priority: older request sheds first.
-        let old = e(2, 5);
-        let newer = e(3, 5);
-        assert!(
-            shed_score(ShedPolicy::LowestPriority, &old)
-                > shed_score(ShedPolicy::LowestPriority, &newer)
-        );
     }
 }

@@ -1,4 +1,5 @@
-//! Minimal little-endian binary serialization primitives.
+//! Minimal little-endian binary serialization primitives, CRC-framed
+//! sections, and the one artifact container, [`ArtifactFormat`].
 //!
 //! The compressed-model formats in `milo-quant`/`milo-core`/`milo-moe`
 //! are built from these; keeping them here avoids a serde dependency for
@@ -26,6 +27,9 @@ pub enum SectionFault {
     Truncated,
     /// The declared payload length exceeds [`MAX_SECTION_BYTES`].
     OversizedLength(u64),
+    /// The checksum verified but the payload does not decode, or leaves
+    /// bytes unread.
+    Malformed(String),
 }
 
 /// Typed error for a damaged artifact section, naming the section (for
@@ -54,6 +58,7 @@ impl std::fmt::Display for SectionFault {
             SectionFault::OversizedLength(n) => {
                 write!(f, "implausible length ({n} bytes)")
             }
+            SectionFault::Malformed(msg) => write!(f, "malformed ({msg})"),
         }
     }
 }
@@ -74,6 +79,9 @@ impl std::fmt::Display for CorruptSection {
                 "section `{}` declares an implausible length of {n} bytes",
                 self.section
             ),
+            SectionFault::Malformed(msg) => {
+                write!(f, "section `{}` is malformed: {msg}", self.section)
+            }
         }
     }
 }
@@ -130,43 +138,20 @@ pub fn read_section_lenient(
     r: &mut impl Read,
     section: &str,
 ) -> io::Result<(Vec<u8>, Option<CorruptSection>)> {
-    let fault = |fault: SectionFault| -> io::Error {
-        CorruptSection { section: section.to_string(), fault }.into()
-    };
-    let len = read_u64(r).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            fault(SectionFault::Truncated)
-        } else {
-            e
-        }
-    })?;
+    let eof = |e| truncated_as(e, section);
+    let len = read_u64(r).map_err(eof)?;
     if len > MAX_SECTION_BYTES {
-        return Err(fault(SectionFault::OversizedLength(len)));
+        let fault = SectionFault::OversizedLength(len);
+        return Err(CorruptSection { section: section.to_string(), fault }.into());
     }
-    let stored = read_u32(r).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            fault(SectionFault::Truncated)
-        } else {
-            e
-        }
-    })?;
+    let stored = read_u32(r).map_err(eof)?;
     // Grow the buffer only as data actually arrives: a corrupt length
     // header below the cap must fail fast on truncation, not allocate
     // gigabytes up front.
     let mut payload = Vec::with_capacity((len as usize).min(1 << 20));
-    let mut chunk = [0u8; 64 * 1024];
-    let mut remaining = len as usize;
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take]).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                fault(SectionFault::Truncated)
-            } else {
-                e
-            }
-        })?;
-        payload.extend_from_slice(&chunk[..take]);
-        remaining -= take;
+    r.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(eof(io::ErrorKind::UnexpectedEof.into()));
     }
     let computed = crc32(&payload);
     if computed != stored {
@@ -177,6 +162,15 @@ pub fn read_section_lenient(
         return Ok((payload, Some(c)));
     }
     Ok((payload, None))
+}
+
+/// Maps an unexpected end of stream to a typed truncation of `section`;
+/// other IO failures pass through.
+fn truncated_as(e: io::Error, section: &str) -> io::Error {
+    if e.kind() != io::ErrorKind::UnexpectedEof {
+        return e;
+    }
+    CorruptSection { section: section.to_string(), fault: SectionFault::Truncated }.into()
 }
 
 /// Integrity status of one framed section, as reported by an artifact
@@ -219,6 +213,248 @@ impl IntegrityReport {
     }
 }
 
+/// Artifact format version written today: CRC-framed sections.
+pub const VERSION: u32 = 2;
+/// The pre-checksum artifact layout: the same payloads, unframed. Still
+/// read, and written by the legacy writers.
+pub const LEGACY_VERSION: u32 = 1;
+
+/// The container shared by the model artifacts (`MILO` compressed
+/// models, `MOEM` reference models); each format supplies only its
+/// payload codec. The stream is
+///
+/// ```text
+/// magic[4]  version:u32  [header]  count:u64  record × count
+/// ```
+///
+/// In [`VERSION`] the header (for a format that has one) and every record
+/// are sections framed by [`write_section`]; each payload must decode to
+/// its last byte, and the stream must end after the last record. In
+/// [`LEGACY_VERSION`] the same payloads follow each other unframed.
+///
+/// Sections are named `model header` and `layer i`, or `layer i (label)`
+/// when [`label`](Self::label) finds one in the payload.
+#[derive(Debug, Clone, Copy)]
+pub struct ArtifactFormat {
+    /// The tag that opens the stream.
+    pub magic: &'static [u8; 4],
+    /// Whether a header payload precedes the record count.
+    pub header: bool,
+    /// Sanity limit on the record count read from a (possibly corrupt)
+    /// stream.
+    pub max_records: u64,
+    /// Labels a record from its payload bytes, which may be damaged.
+    pub label: fn(&[u8]) -> Option<String>,
+}
+
+/// A payload decoder, reading from the stream (v1) or from the section's
+/// bytes (v2).
+pub type Decode<'a, T> = &'a mut dyn FnMut(&mut dyn Read) -> io::Result<T>;
+
+impl ArtifactFormat {
+    /// Writes `records` in `version`, each encoded by `encode`, after the
+    /// `header` payload (ignored by a format without a header).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for an unknown version; propagates IO failures.
+    pub fn write<W: Write, T>(
+        &self,
+        w: &mut W,
+        version: u32,
+        header: &[u8],
+        records: &[T],
+        mut encode: impl FnMut(&mut Vec<u8>, &T) -> io::Result<()>,
+    ) -> io::Result<()> {
+        write_tag(w, self.magic)?;
+        write_u32(w, self.supported(version)?)?;
+        let frame = |w: &mut W, payload: &[u8]| match version {
+            VERSION => write_section(w, payload),
+            _ => w.write_all(payload),
+        };
+        if self.header {
+            frame(w, header)?;
+        }
+        write_u64(w, records.len() as u64)?;
+        let mut payload = Vec::new();
+        for rec in records {
+            payload.clear();
+            encode(&mut payload, rec)?;
+            frame(w, &payload)?;
+        }
+        Ok(())
+    }
+
+    /// Reads an artifact of either version: the header decoded by
+    /// `header` (from no bytes, for a format without one), then every
+    /// record decoded by `record`.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a foreign magic, an unknown version, an
+    /// implausible record count or trailing bytes. In [`VERSION`] a
+    /// damaged, truncated or malformed section is a typed
+    /// [`CorruptSection`] naming it.
+    pub fn read<H, T>(
+        &self,
+        r: &mut impl Read,
+        header: Decode<'_, H>,
+        record: Decode<'_, T>,
+    ) -> io::Result<(H, Vec<T>)> {
+        let framed = self.read_version(r)? == VERSION;
+        let head = match (self.header, framed) {
+            (false, _) => header(&mut io::empty())?,
+            (true, false) => header(r)?,
+            (true, true) => self.checked(r, None, header)?,
+        };
+        let n = self.read_count(r)?;
+        let mut records = Vec::with_capacity(n.min(1 << 12));
+        for i in 0..n {
+            records.push(if framed { self.checked(r, Some(i), record)? } else { record(r)? });
+        }
+        if framed && !at_eof(r)? {
+            return Err(invalid("trailing data after the final record (corrupt count?)"));
+        }
+        Ok((head, records))
+    }
+
+    /// Walks an artifact verifying every section, decoding one payload at
+    /// a time with the same decoders as [`read`](Self::read). Keeps going
+    /// past damaged payloads (the framing still holds) and stops only
+    /// where the stream can no longer be followed (truncation). A
+    /// [`LEGACY_VERSION`] stream has no checksums; its report says so and
+    /// lists no sections.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` only for a stream that is not this artifact at all:
+    /// foreign magic, unknown version or implausible record count.
+    pub fn verify<H, T>(
+        &self,
+        r: &mut impl Read,
+        header: Decode<'_, H>,
+        record: Decode<'_, T>,
+    ) -> io::Result<IntegrityReport> {
+        let version = self.read_version(r)?;
+        let checksummed = version == VERSION;
+        let mut report =
+            IntegrityReport { version, checksummed, sections: Vec::new(), trailing_data: false };
+        if !checksummed {
+            return Ok(report);
+        }
+        match self.scan(r, header, record, &mut report.sections) {
+            Ok(eof) => report.trailing_data = !eof,
+            Err(e) => match corrupt_section_info(&e) {
+                Some(c) => report.sections.push(SectionReport {
+                    name: c.section.clone(),
+                    bytes: 0,
+                    fault: Some(c.fault.clone()),
+                }),
+                None => return Err(e),
+            },
+        }
+        Ok(report)
+    }
+
+    /// Reports every section of a v2 stream (past the version) into
+    /// `sections`, then whether the stream ends there. Errors where the
+    /// stream can no longer be followed.
+    fn scan<H, T>(
+        &self,
+        r: &mut impl Read,
+        header: Decode<'_, H>,
+        record: Decode<'_, T>,
+        sections: &mut Vec<SectionReport>,
+    ) -> io::Result<bool> {
+        type Section<V> = (String, u64, Result<V, SectionFault>);
+        fn report<V>((name, bytes, value): Section<V>) -> SectionReport {
+            SectionReport { name, bytes, fault: value.err() }
+        }
+        if self.header {
+            sections.push(report(self.section(r, None, header)?));
+        }
+        for i in 0..self.read_count(r)? {
+            sections.push(report(self.section(r, Some(i), record)?));
+        }
+        at_eof(r)
+    }
+
+    fn supported(&self, version: u32) -> io::Result<u32> {
+        if version == VERSION || version == LEGACY_VERSION {
+            return Ok(version);
+        }
+        let magic = String::from_utf8_lossy(self.magic);
+        Err(invalid(format!("unsupported {magic} format version {version}")))
+    }
+
+    fn read_version(&self, r: &mut impl Read) -> io::Result<u32> {
+        expect_tag(r, self.magic)?;
+        self.supported(read_u32(r)?)
+    }
+
+    /// Reads the record count; a stream cut short there is a truncated
+    /// `layer table` section.
+    fn read_count(&self, r: &mut impl Read) -> io::Result<usize> {
+        let n = read_u64(r).map_err(|e| truncated_as(e, "layer table"))?;
+        if n > self.max_records {
+            return Err(invalid(format!("layer count {n} exceeds sanity limit")));
+        }
+        Ok(n as usize)
+    }
+
+    fn name(&self, record: Option<usize>, payload: &[u8]) -> String {
+        let Some(i) = record else { return "model header".to_string() };
+        match (self.label)(payload) {
+            Some(label) => format!("layer {i} ({label})"),
+            None => format!("layer {i}"),
+        }
+    }
+
+    /// Reads one framed section and decodes its payload into its name,
+    /// its length and the value, or the fault that kept it from decoding.
+    fn section<T>(
+        &self,
+        r: &mut impl Read,
+        record: Option<usize>,
+        decode: Decode<'_, T>,
+    ) -> io::Result<(String, u64, Result<T, SectionFault>)> {
+        let (payload, fault) = read_section_lenient(r, &self.name(record, &[]))?;
+        let mut rest = payload.as_slice();
+        let value = match fault {
+            Some(c) => Err(c.fault),
+            None => match decode(&mut rest) {
+                Ok(_) if !rest.is_empty() => Err("record shorter than its section".to_string()),
+                Ok(v) => Ok(v),
+                Err(e) => Err(e.to_string()),
+            }
+            .map_err(SectionFault::Malformed),
+        };
+        Ok((self.name(record, &payload), payload.len() as u64, value))
+    }
+
+    /// [`section`](Self::section), with a fault as a typed error.
+    fn checked<T>(
+        &self,
+        r: &mut impl Read,
+        record: Option<usize>,
+        decode: Decode<'_, T>,
+    ) -> io::Result<T> {
+        let (section, _, value) = self.section(r, record, decode)?;
+        value.map_err(|fault| CorruptSection { section, fault }.into())
+    }
+}
+
+/// An `InvalidData` error carrying `msg`, the kind every reader here
+/// returns for malformed input.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Whether the stream holds no more bytes.
+fn at_eof(r: &mut impl Read) -> io::Result<bool> {
+    Ok(r.read(&mut [0u8; 1])? == 0)
+}
+
 /// Writes a 4-byte section tag.
 pub fn write_tag(w: &mut impl Write, tag: &[u8; 4]) -> io::Result<()> {
     w.write_all(tag)
@@ -229,14 +465,8 @@ pub fn expect_tag(r: &mut impl Read, tag: &[u8; 4]) -> io::Result<()> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     if &buf != tag {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "expected tag {:?}, found {:?}",
-                String::from_utf8_lossy(tag),
-                String::from_utf8_lossy(&buf)
-            ),
-        ));
+        let (tag, buf) = (String::from_utf8_lossy(tag), String::from_utf8_lossy(&buf));
+        return Err(invalid(format!("expected tag {tag:?}, found {buf:?}")));
     }
     Ok(())
 }
@@ -283,10 +513,7 @@ fn read_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
     let n = read_u64(r)?;
     const LIMIT: u64 = 1 << 34; // 16 Gi elements: far beyond any model here
     if n > LIMIT {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{what} length {n} exceeds sanity limit"),
-        ));
+        return Err(invalid(format!("{what} length {n} exceeds sanity limit")));
     }
     Ok(n as usize)
 }
@@ -302,8 +529,7 @@ pub fn read_string(r: &mut impl Read) -> io::Result<String> {
     let n = read_len(r, "string")?;
     let mut buf = vec![0u8; n];
     r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf-8: {e}")))
+    String::from_utf8(buf).map_err(|e| invalid(format!("bad utf-8: {e}")))
 }
 
 /// Writes a `Vec<f32>` with a length header.
@@ -353,9 +579,7 @@ pub fn write_matrix(w: &mut impl Write, m: &Matrix) -> io::Result<()> {
 pub fn read_matrix(r: &mut impl Read) -> io::Result<Matrix> {
     let rows = read_len(r, "matrix rows")?;
     let cols = read_len(r, "matrix cols")?;
-    let n = rows.checked_mul(cols).ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "matrix shape overflows")
-    })?;
+    let n = rows.checked_mul(cols).ok_or_else(|| invalid("matrix shape overflows"))?;
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
         data.push(read_f32(r)?);

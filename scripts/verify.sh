@@ -13,12 +13,14 @@
 #    emitted and is well-formed JSON.
 # 4. Fault-injection smoke: runs the corruption fuzz + recovery-path
 #    drills under a fixed MILO_FAULT_SEED, and exercises `milo-cli check`
-#    on a clean and a deliberately corrupted artifact (the corrupt one
-#    must fail with a nonzero exit, not a panic).
+#    on a clean and a deliberately corrupted MOEM artifact (the corrupt
+#    one must fail with a nonzero exit, not a panic).
 # 5. Telemetry smoke: quantizes and serves a tiny model with
 #    MILO_TELEMETRY=trace + --trace-out, then validates both Chrome
 #    traces with `milo-cli trace-check` (well-formed JSON, monotonic
-#    timestamps, at least one span per instrumented stage).
+#    timestamps, at least one span per instrumented stage). The
+#    quantized MILO artifact is drilled like step 4's MOEM one:
+#    `check --strict` passes on it and fails on a truncated copy.
 # 6. Serving soak: the seeded quick chaos soak (1000 requests, kill +
 #    poison + slow faults, burst arrivals, deadlines) through the real
 #    server; the soak itself asserts the invariants (no escaped panics,
@@ -147,6 +149,13 @@ echo "ok: milo-cli check verifies clean artifacts and rejects corrupted ones"
 MILO_TELEMETRY=trace "$cli" quantize --model "$smoke_dir/tele.moem" \
     --method milo --iters 4 --sparse-rank 2 --out "$smoke_dir/tele.milo" \
     --trace-out "$smoke_dir/quantize_trace.json" >/dev/null
+"$cli" check --artifact "$smoke_dir/tele.milo" --strict >/dev/null
+size=$(wc -c < "$smoke_dir/tele.milo")
+head -c "$((size - 32))" "$smoke_dir/tele.milo" > "$smoke_dir/bad.milo"
+if "$cli" check --artifact "$smoke_dir/bad.milo" >/dev/null 2>&1; then
+    echo "ERROR: milo-cli check accepted a truncated MILO artifact"
+    exit 1
+fi
 "$cli" trace-check --trace "$smoke_dir/quantize_trace.json" \
     --require quant.hqq,core.milo_compress,moe.forward,moe.layer,moe.attn,moe.ffn >/dev/null
 MILO_TELEMETRY=trace "$cli" stats --model "$smoke_dir/tele.moem" \
@@ -154,7 +163,8 @@ MILO_TELEMETRY=trace "$cli" stats --model "$smoke_dir/tele.moem" \
     --trace-out "$smoke_dir/stats_trace.json" >/dev/null
 "$cli" trace-check --trace "$smoke_dir/stats_trace.json" \
     --require engine.forward,engine.layer,engine.attn,engine.ffn >/dev/null
-echo "ok: telemetry traces validated for quantize and stats (MILO_TELEMETRY=trace)"
+echo "ok: telemetry traces validated for quantize and stats (MILO_TELEMETRY=trace);"
+echo "    milo-cli check verifies the MILO artifact and rejects a truncated copy"
 
 # --- 6. Serving soak (quick profile) ---------------------------------------
 # 1000 seeded requests through the serve layer with chaos faults; the
