@@ -11,8 +11,8 @@
 //! path with `MILO_BENCH_BASELINE` (empty string disables).
 
 use milo_eval::bench::{black_box, BenchResult, Config, Harness};
-use milo_pack::gemm::{reference_gemm, BATCH_GRANULE};
-use milo_pack::{GemmKernel, PackedMatrix, PackedWeight, TileShape};
+use milo_pack::gemm::reference_gemm;
+use milo_pack::{GemmKernel, PackedMatrix, TileShape};
 use milo_quant::{rtn_quantize, QuantConfig};
 use milo_tensor::pool;
 use milo_tensor::rng::SeedableRng;
@@ -32,7 +32,9 @@ fn setup(batch: usize, k: usize, n: usize) -> (Matrix, Matrix, PackedMatrix) {
 /// the padded-row fix removed — the MAC loop running over every *padded*
 /// batch row, 16× wasted multiplies at batch 1. Kept here so the fix
 /// stays measurable against a recorded baseline.
-fn legacy_padded_rows_gemm(tile: TileShape, x: &Matrix, w: &impl PackedWeight) -> Matrix {
+fn legacy_padded_rows_gemm(tile: TileShape, x: &Matrix, w: &PackedMatrix) -> Matrix {
+    /// The Tensor-Core batch granule the pre-fix kernel padded to.
+    const BATCH_GRANULE: usize = 16;
     let batch = x.rows();
     let (k, n) = (w.cols(), w.rows());
     let (tile_k, tile_n) = tile.dims();
@@ -49,7 +51,8 @@ fn legacy_padded_rows_gemm(tile: TileShape, x: &Matrix, w: &impl PackedWeight) -
         for k0 in (0..k).step_by(tile_k) {
             for o in n0..n0 + tile_n {
                 for (gi, g) in ((k0 / 32)..((k0 + tile_k) / 32)).enumerate() {
-                    let vals = w.dequant_group32(o, g);
+                    let mut vals = [F16::ZERO; 32];
+                    w.dequant_group_into(o, g, &mut vals);
                     wtile[gi * 32..gi * 32 + 32].copy_from_slice(&vals);
                 }
                 for b in 0..padded_batch {

@@ -3,14 +3,12 @@
 //!
 //! The paper notes MiLo's calibration-free design makes it embarrassingly
 //! parallel across weight matrices (no forward propagation is needed), so
-//! the orchestrator compresses layers on a work-stealing thread pool.
+//! the orchestrator compresses layers on the workspace thread pool.
 
 use crate::optimizer::{milo_compress, CompressedLayer, MiloOptions};
 use crate::policy::{LayerMeta, RankPolicy};
 use crate::{MiloError, Result};
-use milo_tensor::Matrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use milo_tensor::{pool, Matrix};
 
 /// One named weight matrix plus the metadata rank policies consume.
 #[derive(Debug, Clone)]
@@ -70,11 +68,16 @@ impl CompressedModel {
 }
 
 /// Compresses every layer with the ranks `policy` assigns, using
-/// `threads` worker threads (1 for sequential execution).
+/// `threads` workers of the [`milo_tensor::pool`] (1 for sequential
+/// execution). Layers are independent, so the result is the same at any
+/// thread count; nested matmuls inside a worker run serially instead of
+/// spawning threads of their own.
 ///
 /// # Errors
 ///
-/// Propagates the first per-layer failure and policy errors.
+/// Propagates policy errors and the first per-layer failure in layer
+/// order; a panic while compressing a layer is a [`MiloError::Policy`]
+/// naming that layer.
 pub fn compress_model(
     layers: &[LayerTensor],
     policy: &RankPolicy,
@@ -83,43 +86,16 @@ pub fn compress_model(
 ) -> Result<CompressedModel> {
     let metas: Vec<LayerMeta> = layers.iter().map(|l| l.meta).collect();
     let ranks = policy.assign(&metas)?;
-    let threads = threads.max(1).min(layers.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<LayerRecord>>>> =
-        Mutex::new((0..layers.len()).map(|_| None).collect());
-
-    let all_ok = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= layers.len() {
-                        break;
-                    }
-                    let lt = &layers[i];
-                    let out =
-                        milo_compress(&lt.weight, ranks[i], opts).map(|layer| LayerRecord {
-                            name: lt.name.clone(),
-                            meta: lt.meta,
-                            rank: ranks[i],
-                            layer,
-                        });
-                    results.lock().expect("results mutex poisoned")[i] = Some(out);
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().is_ok())
+    let results = pool::with_threads(threads, || {
+        pool::try_par_map(layers.len(), |i| milo_compress(&layers[i].weight, ranks[i], opts))
     });
-    if !all_ok {
-        return Err(MiloError::Policy("a compression worker panicked".into()));
-    }
-
-    let mut out = Vec::with_capacity(layers.len());
-    for slot in results.into_inner().expect("results mutex poisoned") {
-        out.push(slot.expect("every index was processed")?);
-    }
-    Ok(CompressedModel { layers: out })
+    let records = layers.iter().zip(ranks).zip(results).map(|((lt, rank), result)| {
+        let layer = result.map_err(|e| {
+            MiloError::Policy(format!("compressing layer {} panicked: {}", lt.name, e.message))
+        })??;
+        Ok(LayerRecord { name: lt.name.clone(), meta: lt.meta, rank, layer })
+    });
+    Ok(CompressedModel { layers: records.collect::<Result<_>>()? })
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! etc.) combine a fixed dense rank with an adaptive sparse allocation.
 
 use crate::{MiloError, Result};
-use milo_quant::{QuantConfig, Scheme};
+use milo_quant::QuantConfig;
 
 /// The structural role of a layer in an MoE model.
 ///
@@ -215,9 +215,9 @@ fn distribute(
 /// bytes.
 ///
 /// With `cfg = None` the factors stay FP16 (2 bytes/element); otherwise
-/// the packed-quantized footprint is used (bits per element plus one FP16
-/// scale per group), matching
-/// [`QuantizedMatrix::packed_bytes`](milo_quant::QuantizedMatrix::packed_bytes).
+/// each factor is billed by [`QuantConfig::packed_bytes`], the rule
+/// [`QuantizedMatrix::packed_bytes`](milo_quant::QuantizedMatrix::packed_bytes)
+/// applies to the realized factors.
 pub fn compensator_memory_bytes(
     layers: &[LayerMeta],
     ranks: &[usize],
@@ -230,19 +230,10 @@ pub fn compensator_memory_bytes(
             if r == 0 {
                 return 0;
             }
-            let elems = meta.rows * r + r * meta.cols;
             match cfg {
-                None => elems * 2,
-                Some(c) => {
-                    let weight_bytes = (elems * c.bits() as usize).div_ceil(8);
-                    // U is rows×r, V is r×cols; groups run along each row.
-                    let groups = meta.rows * c.groups_per_row(r) + r * c.groups_per_row(meta.cols);
-                    let param = match c.scheme() {
-                        Scheme::Asymmetric => groups * 4,
-                        Scheme::Symmetric => groups * 2,
-                    };
-                    weight_bytes + param
-                }
+                None => (meta.rows * r + r * meta.cols) * 2,
+                // U is rows×r, V is r×cols.
+                Some(c) => c.packed_bytes(meta.rows, r) + c.packed_bytes(r, meta.cols),
             }
         })
         .sum()

@@ -15,8 +15,9 @@
 //! * routers, embeddings, norms, and the head stay in full precision,
 //!   exactly as the real backend keeps them in FP16.
 //!
-//! Weights that violate the kernel's constraints — tile shape or group
-//! size (the paper's kernel has the same restrictions) — transparently
+//! Weights that violate the kernel's constraints — 3-bit codes, tile
+//! shape, group size 64 (the paper's kernel has the same restrictions) —
+//! transparently
 //! fall back to a dense path built from the same de-quantized values, so
 //! the engine runs any model while using the packed kernel wherever it
 //! legally can. Every failure is a [`milo_moe::MoeError`], the one error

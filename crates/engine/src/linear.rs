@@ -4,16 +4,15 @@
 
 use milo_core::{CompressedLayer, Compensator};
 use milo_moe::{Linear, MoeError, Result};
-use milo_pack::{GemmKernel, Packed4Matrix, PackedMatrix, PackedWeight, TileShape};
+use milo_pack::{GemmKernel, PackedMatrix, TileShape};
+use milo_quant::QuantizedMatrix;
 use milo_tensor::{Matrix, TensorError};
 
 /// How the weight is stored and multiplied.
 #[derive(Debug, Clone, PartialEq)]
 enum Storage {
     /// Zero-waste packed INT3 plus the tile shape the kernel runs with.
-    Packed3(PackedMatrix, GemmKernel),
-    /// Packed INT4 (the W4A16 baseline format) plus its kernel.
-    Packed4(Packed4Matrix, GemmKernel),
+    Packed(PackedMatrix, GemmKernel),
     /// Dense fallback (FP16-rounded de-quantized values) for weights the
     /// kernel rejects — kept transposed (`in × out`) so the hot loop is a
     /// plain row-major GEMM.
@@ -36,12 +35,12 @@ pub struct PackedLinear {
     memory_bytes: usize,
 }
 
-/// A packed weight with the first tile shape whose kernel accepts it:
-/// [`GemmKernel::validate`] is the one rule for when the packed path
-/// runs (group size, tile divisibility), so a weight it rejects never
-/// reaches a forward pass.
-fn with_kernel<W: PackedWeight>(packed: milo_pack::Result<W>) -> Option<(W, GemmKernel)> {
-    let w = packed.ok()?;
+/// `q` packed, with the first tile shape whose kernel accepts it:
+/// [`PackedMatrix::pack`] (3-bit only) and [`GemmKernel::validate`]
+/// (group size, tile divisibility) are the one rule for when the packed
+/// path runs, so a weight they reject never reaches a forward pass.
+fn with_kernel(q: &QuantizedMatrix) -> Option<(PackedMatrix, GemmKernel)> {
+    let w = PackedMatrix::pack(q).ok()?;
     let kernel = (TileShape::all().into_iter())
         .map(|tile| GemmKernel { tile })
         .find(|k| k.validate(1, &w).is_ok())?;
@@ -55,10 +54,9 @@ fn shape_error(msg: String) -> MoeError {
 
 impl PackedLinear {
     /// Builds the deployment form of one compressed layer. INT3 weights
-    /// go to the zero-waste packed layout, INT4 weights to the W4
-    /// layout; anything else, or a packed weight no kernel tile accepts,
-    /// falls back to a dense path built from the same de-quantized
-    /// values.
+    /// go to the zero-waste packed layout; any other width, or a packed
+    /// weight no kernel tile accepts, falls back to a dense path built
+    /// from the same de-quantized values.
     ///
     /// # Errors
     ///
@@ -68,12 +66,10 @@ impl PackedLinear {
     pub fn build(layer: &CompressedLayer) -> Result<Self> {
         let q = &layer.qweight;
         let (out_features, in_features) = q.shape();
-        let storage = match q.config().bits() {
-            3 => with_kernel(PackedMatrix::pack(q)).map(|(w, k)| Storage::Packed3(w, k)),
-            4 => with_kernel(Packed4Matrix::pack(q)).map(|(w, k)| Storage::Packed4(w, k)),
-            _ => None,
-        }
-        .unwrap_or_else(|| Storage::Dense(q.dequantize().transpose()));
+        let storage = match with_kernel(q) {
+            Some((w, kernel)) => Storage::Packed(w, kernel),
+            None => Storage::Dense(q.dequantize().transpose()),
+        };
         let comp_t = layer.compensator.as_ref().map(|c| match c {
             Compensator::Fp16(lr) => (lr.v().transpose(), lr.u().transpose()),
             Compensator::Quantized(q) => {
@@ -96,7 +92,7 @@ impl PackedLinear {
 
     /// Whether a packed kernel path is active (vs the dense fallback).
     pub fn uses_packed_kernel(&self) -> bool {
-        matches!(self.storage, Storage::Packed3(..) | Storage::Packed4(..))
+        matches!(self.storage, Storage::Packed(..))
     }
 
     /// Deployment memory in bytes.
@@ -116,12 +112,9 @@ impl PackedLinear {
             return Err(shape_error(format!("input width {} != {}", x.cols(), self.in_features)));
         }
         let mut y = match &self.storage {
-            Storage::Packed3(packed, kernel) => kernel
+            Storage::Packed(packed, kernel) => kernel
                 .gemm(x, packed)
                 .map_err(|e| shape_error(format!("packed INT3 GEMM failed: {e}")))?,
-            Storage::Packed4(packed, kernel) => kernel
-                .gemm(x, packed)
-                .map_err(|e| shape_error(format!("packed INT4 GEMM failed: {e}")))?,
             Storage::Dense(wt) => x.matmul(wt)?,
         };
         if let Some((vt, ut)) = &self.comp_t {
@@ -194,28 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn int4_weights_use_the_w4_packed_path() {
-        let mut rng = milo_tensor::rng::StdRng::seed_from_u64(13);
-        let w = WeightDist::Gaussian { std: 0.06 }.sample_matrix(256, 128, &mut rng);
-        let q = milo_quant::rtn_quantize(&w, &milo_quant::QuantConfig::int4_asym()).unwrap();
-        let layer = CompressedLayer { qweight: q.clone(), compensator: None, convergence: vec![] };
-        let lin = PackedLinear::build(&layer).unwrap();
-        assert!(lin.uses_packed_kernel());
-        let x = WeightDist::Gaussian { std: 1.0 }.sample_matrix(2, 128, &mut rng);
-        let y = lin.forward(&x).unwrap();
-        let reference = x.matmul(&q.dequantize().transpose()).unwrap();
-        assert!(stats::relative_frobenius_error(&reference, &y) < 5e-3);
-    }
-
-    #[test]
     fn group_sizes_the_kernel_rejects_fall_back_to_dense() {
-        // Both layouts pack these group sizes, but the kernel runs only
-        // group size 64: the weight must take the dense path instead of
-        // a packed path whose every forward fails.
+        // The INT3 layout packs group sizes 32 and 128, but the kernel
+        // runs only group size 64, and it runs no 4-bit weight at all:
+        // each must take the dense path instead of a packed path whose
+        // every forward fails.
         let mut rng = milo_tensor::rng::StdRng::seed_from_u64(17);
         let w = WeightDist::Gaussian { std: 0.06 }.sample_matrix(256, 128, &mut rng);
         let x = WeightDist::Gaussian { std: 1.0 }.sample_matrix(3, 128, &mut rng);
-        for (bits, group) in [(3u8, 128usize), (3, 32), (4, 128)] {
+        for (bits, group) in [(3u8, 128usize), (3, 32), (4, 64), (4, 128)] {
             let cfg = milo_quant::QuantConfig::new(bits, group, milo_quant::Scheme::Asymmetric)
                 .unwrap();
             let q = milo_quant::rtn_quantize(&w, &cfg).unwrap();

@@ -2,6 +2,7 @@
 //! the same rows the paper's tables report), CSV, and a minimal JSON
 //! emitter for machine-readable records.
 
+use milo_obs::json::escape;
 use std::fmt::Write as _;
 
 /// A simple column-aligned table.
@@ -127,24 +128,6 @@ impl Json {
             }
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

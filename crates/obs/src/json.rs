@@ -1,6 +1,8 @@
 //! A minimal recursive-descent JSON parser — just enough to validate
 //! the trace files this workspace itself emits (and any other tool
-//! output `milo-cli` needs to inspect) without an external crate.
+//! output `milo-cli` needs to inspect) without an external crate — and
+//! [`escape`], the string escaper every JSON writer in the workspace
+//! uses.
 //!
 //! Accepts standard JSON: objects, arrays, strings with escapes
 //! (including `\uXXXX` with surrogate pairs), numbers, booleans, null.
@@ -59,6 +61,25 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and control characters (`\n`, `\r`, `\t`, else
+/// `\uXXXX`). The one escaper the workspace's JSON writers use.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Parses a JSON document.

@@ -9,7 +9,7 @@
 //! microseconds since the process telemetry epoch; export sorts by
 //! timestamp so consumers (and the validator) see a monotonic stream.
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, escape, JsonValue};
 use std::sync::{Mutex, OnceLock};
 
 /// One argument attached to a trace event.
@@ -99,22 +99,6 @@ pub fn event_count() -> usize {
 /// Clears the buffer.
 pub fn clear() {
     lock().clear();
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn render_event(e: &TraceEvent) -> String {

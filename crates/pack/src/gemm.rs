@@ -8,11 +8,12 @@
 //! 2. the weight shape `(k, n)` must be a multiple of the tile shape;
 //! 3. the tile shape must be one of `(256,64)`, `(128,128)`, `(64,256)`.
 //!
-//! Batches that are not a multiple of 16 are padded to the Tensor-Core
-//! `16×8×16` granularity internally (Appendix D boundary test 1), and the
+//! Any batch of at least one row runs as given: the CUDA kernel pads the
+//! batch to its `16×8×16` Tensor-Core granule, but padded rows are
+//! known-zero and never change a result, so here the activation buffer
+//! holds exactly the `batch` real rows (Appendix D boundary test 1). The
 //! tiled reduction loop terminates early when the reduction dimension is
-//! not a multiple of `4 × tile_k` (boundary test 2) — both without
-//! affecting results.
+//! not a multiple of `4 × tile_k` (boundary test 2).
 //!
 //! Execution mirrors the kernel's threadblock decomposition literally:
 //! each `n`-tile is an independent task on the
@@ -20,19 +21,11 @@
 //! the (column-major) accumulator, and de-quantizes its weight strips
 //! into a thread-local tile buffer. Within a tile the `k`-tile order and
 //! the per-element FP32 reduction order match the serial code exactly,
-//! so the output is bit-identical at every `MILO_THREADS` setting. The
-//! batch is still *padded* to the granule for validation semantics, but
-//! the MAC loops only visit real rows (padded rows are known-zero).
+//! so the output is bit-identical at every `MILO_THREADS` setting.
 
-use crate::matrix::PackedWeight;
-#[cfg(test)]
 use crate::matrix::PackedMatrix;
 use crate::{PackError, Result};
 use milo_tensor::{pool, F16, Matrix};
-
-/// Tensor-Core batch granularity: batches are padded to a multiple of
-/// this (Appendix D boundary case 1).
-pub const BATCH_GRANULE: usize = 16;
 
 /// The tile shapes the kernel supports (paper §3.3 "MoE-specific tile
 /// shape tuning"). The first dimension tiles the reduction (`k`) axis,
@@ -86,7 +79,7 @@ impl GemmKernel {
     /// Returns [`PackError::Unsupported`] for a group size other than 64
     /// and [`PackError::InvalidShape`] when `(k, n)` is not a multiple of
     /// the tile shape or the batch is zero.
-    pub fn validate(&self, batch: usize, w: &impl PackedWeight) -> Result<()> {
+    pub fn validate(&self, batch: usize, w: &PackedMatrix) -> Result<()> {
         if w.group_size() != 64 {
             return Err(PackError::Unsupported(format!(
                 "kernel requires group size 64, got {}",
@@ -114,59 +107,30 @@ impl GemmKernel {
     /// # Errors
     ///
     /// Propagates [`GemmKernel::validate`] failures and shape mismatches.
-    pub fn gemm(&self, x: &Matrix, w: &impl PackedWeight) -> Result<Matrix> {
-        self.validate(x.rows(), w)?;
-        if x.cols() != w.cols() {
-            return Err(PackError::InvalidShape(format!(
-                "activation width {} does not match k={}",
-                x.cols(),
-                w.cols()
-            )));
-        }
-        let batch = x.rows();
-        let (k, n) = (w.cols(), w.rows());
-        let (tile_k, tile_n) = self.tile.dims();
-
-        // Pad the batch to the Tensor-Core granule. Padded rows are
-        // known-zero and dropped from the output, so only the `batch`
-        // real rows are converted or multiplied — at batch=1 the old
-        // MAC-over-all-16-padded-rows loop was 16× wasted multiplies.
-        let padded_batch = batch.div_ceil(BATCH_GRANULE) * BATCH_GRANULE;
-        let mut x16 = vec![F16::ZERO; padded_batch * k];
-        for b in 0..batch {
-            for (j, &v) in x.row(b).iter().enumerate() {
-                x16[b * k + j] = F16::from_f32(v);
-            }
-        }
-        let x16 = &x16;
-
-        // Output accumulator in n-major order (`acc[o * batch + b]`) so
-        // every n-tile owns one contiguous strip — the threadblock
-        // decomposition becomes a lock-free parallel loop. Each tile
-        // de-quantizes its weight strips into a thread-local buffer and
-        // keeps the per-element k-tile reduction order sequential, so
-        // results are bit-identical across thread counts.
+    pub fn gemm(&self, x: &Matrix, w: &PackedMatrix) -> Result<Matrix> {
+        let x16 = self.activations(x, w)?;
         let _span = milo_obs::span(|| "pack.gemm.fused".into());
         let telemetry = milo_obs::enabled();
-        let mut acc = vec![0.0f32; n * batch];
-        pool::parallel_chunks_mut(&mut acc, tile_n * batch, |tile_idx, strip| {
-            let n0 = tile_idx * tile_n;
+        let (batch, k) = (x.rows(), w.cols());
+        let tile_k = self.tile.dims().0;
+        // Each tile de-quantizes its weight strips into a thread-local
+        // buffer and keeps the per-element k-tile reduction order
+        // sequential, so results are bit-identical across thread counts.
+        Ok(self.per_tile(batch, w.rows(), |n0, strip| {
             let mut wtile = vec![F16::ZERO; tile_k]; // thread-local dequant strip
             // Dequant-vs-MAC split, accumulated locally per tile and
             // flushed once (two counter touches per tile, not per strip).
             let (mut dequant_ns, mut mac_ns) = (0u64, 0u64);
             for k0 in (0..k).step_by(tile_k) {
-                for oo in 0..tile_n {
-                    let o = n0 + oo;
+                for (oo, outs) in strip.chunks_mut(batch).enumerate() {
                     let t0 = telemetry.then(std::time::Instant::now);
-                    // Dequantize the k-strip of output row o straight
-                    // into the tile buffer via the packed group path.
+                    // Dequantize the k-strip of output row n0 + oo straight
+                    // into the tile buffer, one 32-weight group at a time.
                     for (gi, g) in ((k0 / 32)..((k0 + tile_k) / 32)).enumerate() {
-                        w.dequant_group32_into(o, g, &mut wtile[gi * 32..gi * 32 + 32]);
+                        w.dequant_group_into(n0 + oo, g, &mut wtile[gi * 32..gi * 32 + 32]);
                     }
                     let t1 = telemetry.then(std::time::Instant::now);
-                    for (b, out) in strip[oo * batch..(oo + 1) * batch].iter_mut().enumerate()
-                    {
+                    for (b, out) in outs.iter_mut().enumerate() {
                         let xrow = &x16[b * k + k0..b * k + k0 + tile_k];
                         let mut sum = 0.0f32;
                         for (xv, wv) in xrow.iter().zip(&wtile) {
@@ -184,25 +148,39 @@ impl GemmKernel {
                 milo_obs::counter_add("pack.gemm.dequant_ns", dequant_ns);
                 milo_obs::counter_add("pack.gemm.mac_ns", mac_ns);
             }
-        });
-
-        let mut out = Matrix::zeros(batch, n);
-        for b in 0..batch {
-            for (o, row_v) in out.row_mut(b).iter_mut().enumerate() {
-                *row_v = acc[o * batch + b];
-            }
-        }
-        Ok(out)
+        }))
     }
 
     /// The unfused reference path ("MiLo Dequant + CUTLASS" in Fig. 9):
     /// de-quantize the whole weight to a dense FP16 buffer first, then
-    /// run a plain GEMM over it.
+    /// run a plain GEMM over it, parallelized over the same n-tiles as
+    /// the fused path.
     ///
     /// # Errors
     ///
     /// Same validation as [`GemmKernel::gemm`].
-    pub fn gemm_unfused(&self, x: &Matrix, w: &impl PackedWeight) -> Result<Matrix> {
+    pub fn gemm_unfused(&self, x: &Matrix, w: &PackedMatrix) -> Result<Matrix> {
+        let x16 = self.activations(x, w)?;
+        let _span = milo_obs::span(|| "pack.gemm.unfused".into());
+        let dense = w.dequantize(); // n × k, already rounded through FP16
+        let (batch, k) = (x.rows(), w.cols());
+        Ok(self.per_tile(batch, w.rows(), |n0, strip| {
+            for (oo, outs) in strip.chunks_mut(batch).enumerate() {
+                let wrow = dense.row(n0 + oo);
+                for (b, out) in outs.iter_mut().enumerate() {
+                    let mut sum = 0.0f32;
+                    for j in 0..k {
+                        sum += x16[b * k + j].to_f32() * wrow[j];
+                    }
+                    *out = sum;
+                }
+            }
+        }))
+    }
+
+    /// Validates the launch and rounds the activations through FP16
+    /// once (W3A16 semantics): `batch × k` values, row-major.
+    fn activations(&self, x: &Matrix, w: &PackedMatrix) -> Result<Vec<F16>> {
         self.validate(x.rows(), w)?;
         if x.cols() != w.cols() {
             return Err(PackError::InvalidShape(format!(
@@ -211,46 +189,30 @@ impl GemmKernel {
                 w.cols()
             )));
         }
-        let _span = milo_obs::span(|| "pack.gemm.unfused".into());
-        let dense = w.dequantize_dense(); // n × k, already rounded through FP16
-        let batch = x.rows();
-        let (k, n) = (w.cols(), w.rows());
-        let (_, tile_n) = self.tile.dims();
+        Ok(x.as_slice().iter().map(|&v| F16::from_f32(v)).collect())
+    }
 
-        // Round the activations through FP16 once (W3A16 semantics) and
-        // parallelize over the same n-tiles as the fused path, each tile
-        // owning a contiguous strip of the n-major accumulator.
-        let mut x16 = vec![F16::ZERO; batch * k];
-        for b in 0..batch {
-            for (j, &v) in x.row(b).iter().enumerate() {
-                x16[b * k + j] = F16::from_f32(v);
-            }
-        }
-        let x16 = &x16;
-        let dense = &dense;
-
+    /// Runs `tile(n0, strip)` for every `n`-tile on the pool and returns
+    /// the `batch × n` result. The accumulator is n-major
+    /// (`acc[o * batch + b]`), so each tile owns one contiguous strip —
+    /// the threadblock decomposition becomes a lock-free parallel loop —
+    /// and is copied to row-major once at the end.
+    fn per_tile(
+        &self,
+        batch: usize,
+        n: usize,
+        tile: impl Fn(usize, &mut [f32]) + Sync,
+    ) -> Matrix {
+        let tile_n = self.tile.dims().1;
         let mut acc = vec![0.0f32; n * batch];
-        pool::parallel_chunks_mut(&mut acc, tile_n * batch, |tile_idx, strip| {
-            let n0 = tile_idx * tile_n;
-            for oo in 0..tile_n {
-                let wrow = dense.row(n0 + oo);
-                for (b, out) in strip[oo * batch..(oo + 1) * batch].iter_mut().enumerate() {
-                    let mut sum = 0.0f32;
-                    for j in 0..k {
-                        sum += x16[b * k + j].to_f32() * wrow[j];
-                    }
-                    *out = sum;
-                }
-            }
-        });
-
+        pool::parallel_chunks_mut(&mut acc, tile_n * batch, |t, strip| tile(t * tile_n, strip));
         let mut out = Matrix::zeros(batch, n);
         for b in 0..batch {
-            for (o, row_v) in out.row_mut(b).iter_mut().enumerate() {
-                *row_v = acc[o * batch + b];
+            for (o, v) in out.row_mut(b).iter_mut().enumerate() {
+                *v = acc[o * batch + b];
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -334,9 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_not_multiple_of_16_is_padded_correctly() {
-        // Appendix D boundary case: batch 1, 5, 17 vs the same rows inside
-        // a multiple-of-16 batch.
+    fn batch_not_multiple_of_16_matches_the_same_rows_in_a_larger_batch() {
+        // Appendix D boundary case: the first 5 rows of a 17-row batch
+        // give the same outputs when run as a batch of 5.
         let (x, _, packed) = setup(17, 128, 128, 4);
         let kernel = GemmKernel::default();
         let full = kernel.gemm(&x, &packed).unwrap();
@@ -391,8 +353,8 @@ mod tests {
     #[test]
     fn parallel_gemm_is_bit_identical_across_thread_counts() {
         use milo_tensor::pool;
-        // Batches hitting both padding regimes (1, 5 padded to 16; 16
-        // exact; 17 padded to 32) and both kernel paths.
+        // Batches below, at and above the 16-row Tensor-Core granule,
+        // through both kernel paths.
         for batch in [1usize, 5, 16, 17] {
             let (x, _, packed) = setup(batch, 256, 256, 21);
             let kernel = GemmKernel::default();

@@ -145,45 +145,6 @@ pub fn word_codes(word: u32) -> [u8; 8] {
     deinterleave(&extract_eight(word))
 }
 
-/// The naive packing baseline the paper rejects: ten 3-bit values per
-/// `u32`, wasting 2 bits per word (6.25% of storage) and leaving the
-/// payloads unaligned with FP16 lanes, so de-quantization needs per-value
-/// shifts instead of paired-lane extraction.
-pub mod naive {
-    /// Codes per word under the naive layout.
-    pub const PER_WORD: usize = 10;
-
-    /// Packs codes ten-per-word, in order, low bits first.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if any code exceeds 7.
-    pub fn pack(codes: &[u8]) -> Vec<u32> {
-        debug_assert!(codes.iter().all(|&c| c <= 7));
-        codes
-            .chunks(PER_WORD)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u32, |w, (i, &c)| w | ((c as u32) << (3 * i)))
-            })
-            .collect()
-    }
-
-    /// Unpacks `n` codes from the naive layout.
-    pub fn unpack(words: &[u32], n: usize) -> Vec<u8> {
-        (0..n)
-            .map(|i| ((words[i / PER_WORD] >> (3 * (i % PER_WORD))) & 0x7) as u8)
-            .collect()
-    }
-
-    /// Storage bytes for `n` codes under the naive layout.
-    pub fn bytes(n: usize) -> usize {
-        n.div_ceil(PER_WORD) * 4
-    }
-}
-
 /// Storage bytes for `n` codes under the zero-waste layout (exactly
 /// 3 bits per code, in 96-bit group units).
 pub fn zero_waste_bytes(n: usize) -> usize {
@@ -281,27 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn naive_pack_round_trips() {
-        let codes = random_codes(7);
-        let words = naive::pack(&codes);
-        assert_eq!(naive::unpack(&words, codes.len()), codes.to_vec());
-    }
-
-    #[test]
-    fn naive_handles_partial_tail_word() {
-        let codes = [1u8, 2, 3, 4, 5, 6, 7];
-        let words = naive::pack(&codes);
-        assert_eq!(words.len(), 1);
-        assert_eq!(naive::unpack(&words, 7), codes.to_vec());
-    }
-
-    #[test]
     fn zero_waste_saves_the_paper_quoted_fraction() {
-        // 320 codes: naive uses 32 words (128 B), zero-waste uses 30
-        // words (120 B) — the 1/16 (6.25%) the paper's "zero bit waste"
-        // packing reclaims.
-        let n = 320;
-        let naive_b = naive::bytes(n);
+        // 320 codes: the naive ten-per-word packing uses 32 words
+        // (128 B), zero-waste uses 30 words (120 B) — the 1/16 (6.25%)
+        // the paper's "zero bit waste" packing reclaims.
+        let n = 320usize;
+        let naive_b = n.div_ceil(10) * 4;
         let zw_b = zero_waste_bytes(n);
         assert_eq!(naive_b, 128);
         assert_eq!(zw_b, 120);

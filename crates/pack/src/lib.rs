@@ -3,7 +3,8 @@
 //!
 //! The CUDA kernel the paper builds cannot run here, but everything that
 //! makes it *correct* is pure bit manipulation and FP16 arithmetic, which
-//! this crate reproduces faithfully:
+//! this crate reproduces faithfully. It has one packed layout, the
+//! paper's W3A16 one; weights at any other width stay unpacked.
 //!
 //! * [`layout`] — the packing format of Fig. 6(a): every 32 consecutive
 //!   INT3 weights occupy exactly three `u32` words (96 bits, zero waste).
@@ -20,24 +21,22 @@
 //!   deployment layout, split into a *main* array (two words per 32-group)
 //!   and a *tail* array (the third word), mirroring the paper's two-matrix
 //!   split that fixes the 3-word alignment problem.
-//! * [`gemm`] — the fused dequant+GEMM "kernel" with the tile-shape and
-//!   group-size validation rules of Appendix D, batch padding to the
-//!   16-row Tensor-Core granularity, and an unfused reference path.
+//! * [`gemm`] — the fused dequant+GEMM "kernel" over a [`PackedMatrix`]
+//!   with the tile-shape and group-size validation rules of Appendix D,
+//!   and an unfused reference path. Activations are rounded to FP16 for
+//!   exactly the rows given; no batch padding is materialized.
 
 #![warn(missing_docs)]
 
 pub mod dequant;
 pub mod gemm;
 pub mod layout;
-pub mod layout4;
 pub mod matrix;
-pub mod matrix4;
 
 pub use dequant::{dequant_word_asym, dequant_word_sym, naive_dequant_word};
 pub use gemm::{GemmKernel, TileShape};
 pub use layout::{pack_group, unpack_group, virtual_word};
-pub use matrix::{PackedMatrix, PackedWeight};
-pub use matrix4::Packed4Matrix;
+pub use matrix::PackedMatrix;
 
 /// Errors produced by the packing and kernel layers.
 #[derive(Debug, Clone, PartialEq)]

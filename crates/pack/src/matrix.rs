@@ -10,60 +10,8 @@
 use crate::dequant::{dequant_word_asym, dequant_word_sym};
 use crate::layout::{pack_group, virtual_word, GROUP};
 use crate::{PackError, Result};
-use milo_quant::{QuantizedMatrix, Scheme};
+use milo_quant::{QuantConfig, QuantizedMatrix, Scheme};
 use milo_tensor::{F16, Matrix};
-
-/// A weight matrix in some packed deployment layout, de-quantizable in
-/// 32-element strips — the interface the fused GEMM kernel consumes.
-/// Implemented by the INT3 [`PackedMatrix`] and the INT4
-/// [`Packed4Matrix`](crate::matrix4::Packed4Matrix).
-///
-/// `Sync` is a supertrait because the kernel's `n`-tile tasks de-quantize
-/// strips of the same weight concurrently from pool worker threads.
-pub trait PackedWeight: Sync {
-    /// Number of rows (output features).
-    fn rows(&self) -> usize;
-
-    /// Number of columns (input features / reduction dimension).
-    fn cols(&self) -> usize;
-
-    /// The quantization group size.
-    fn group_size(&self) -> usize;
-
-    /// De-quantizes the 32 weights of packing strip `g` in row `r` into
-    /// FP16 values.
-    fn dequant_group32(&self, r: usize, g: usize) -> [F16; 32];
-
-    /// De-quantizes strip `g` of row `r` directly into `out` (exactly 32
-    /// elements). The fused GEMM calls this so each strip lands straight
-    /// in the thread-local tile buffer instead of round-tripping through
-    /// a fresh `[F16; 32]`. Implementations should override the default
-    /// (which still does the by-value round trip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 32`.
-    fn dequant_group32_into(&self, r: usize, g: usize, out: &mut [F16]) {
-        out.copy_from_slice(&self.dequant_group32(r, g));
-    }
-
-    /// Materializes the whole matrix as dense `f32` through the packed
-    /// de-quantization path.
-    fn dequantize_dense(&self) -> Matrix {
-        let strips = self.cols() / 32;
-        let mut out = Matrix::zeros(self.rows(), self.cols());
-        for r in 0..self.rows() {
-            for g in 0..strips {
-                let vals = self.dequant_group32(r, g);
-                let row = out.row_mut(r);
-                for (i, v) in vals.iter().enumerate() {
-                    row[g * 32 + i] = v.to_f32();
-                }
-            }
-        }
-        out
-    }
-}
 
 /// A 3-bit quantized weight matrix in the zero-waste packed layout,
 /// split into main/tail word arrays.
@@ -100,8 +48,7 @@ pub struct PackedMatrix {
     scales: Vec<f32>,
     /// Per-quant-group zero-points (empty for symmetric schemes).
     zeros: Vec<f32>,
-    group_size: usize,
-    scheme: Scheme,
+    cfg: QuantConfig,
 }
 
 impl PackedMatrix {
@@ -155,8 +102,7 @@ impl PackedMatrix {
             tail,
             scales: q.scales().to_vec(),
             zeros: q.zeros().to_vec(),
-            group_size: cfg.group_size(),
-            scheme: cfg.scheme(),
+            cfg: *cfg,
         })
     }
 
@@ -172,12 +118,12 @@ impl PackedMatrix {
 
     /// The quantization scheme the weights were produced with.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.cfg.scheme()
     }
 
     /// The quantization group size (64 in all paper experiments).
     pub fn group_size(&self) -> usize {
-        self.group_size
+        self.cfg.group_size()
     }
 
     /// The three physical words of packing group `g` in row `r`.
@@ -192,17 +138,10 @@ impl PackedMatrix {
         [self.main[2 * gi], self.main[2 * gi + 1], self.tail[gi]]
     }
 
-    /// De-quantizes one packing group into 32 FP16 values using the MiLo
-    /// binary-manipulation path.
-    pub fn dequant_group(&self, r: usize, g: usize) -> [F16; GROUP] {
-        let mut out = [F16::ZERO; GROUP];
-        self.dequant_group_into(r, g, &mut out);
-        out
-    }
-
-    /// [`PackedMatrix::dequant_group`] writing directly into `out`
-    /// (exactly [`GROUP`] elements) — the kernel's hot path, which keeps
-    /// each dequantized strip in the caller's tile buffer.
+    /// De-quantizes packing group `g` of row `r` into `out` (exactly
+    /// [`GROUP`] FP16 values) using the MiLo binary-manipulation path —
+    /// the kernel's strip decoder, which writes each strip straight into
+    /// the caller's tile buffer.
     ///
     /// # Panics
     ///
@@ -212,12 +151,11 @@ impl PackedMatrix {
         let words = self.group_words(r, g);
         // Quant groups are >= 32 and multiples of 32, so one scale covers
         // the whole packing group.
-        let qgroups_per_row = self.cols.div_ceil(self.group_size);
-        let qg = r * qgroups_per_row + (g * GROUP) / self.group_size;
+        let qg = r * self.cfg.groups_per_row(self.cols) + (g * GROUP) / self.group_size();
         let scale = self.scales[qg];
 
         let logical = [words[0], words[1], words[2], virtual_word(&words)];
-        match self.scheme {
+        match self.scheme() {
             Scheme::Symmetric => {
                 let step = F16::from_f32(scale);
                 for (w, &word) in logical.iter().enumerate() {
@@ -242,12 +180,12 @@ impl PackedMatrix {
     pub fn dequantize(&self) -> Matrix {
         let groups_per_row = self.cols / GROUP;
         let mut out = Matrix::zeros(self.rows, self.cols);
+        let mut strip = [F16::ZERO; GROUP];
         for r in 0..self.rows {
             for g in 0..groups_per_row {
-                let vals = self.dequant_group(r, g);
-                let row = out.row_mut(r);
-                for (i, v) in vals.iter().enumerate() {
-                    row[g * GROUP + i] = v.to_f32();
+                self.dequant_group_into(r, g, &mut strip);
+                for (dst, v) in out.row_mut(r)[g * GROUP..(g + 1) * GROUP].iter_mut().zip(&strip) {
+                    *dst = v.to_f32();
                 }
             }
         }
@@ -257,35 +195,7 @@ impl PackedMatrix {
     /// Deployment memory in bytes: packed words plus FP16 scales (and
     /// zero-points for asymmetric schemes).
     pub fn memory_bytes(&self) -> usize {
-        let words = (self.main.len() + self.tail.len()) * 4;
-        let params = match self.scheme {
-            Scheme::Asymmetric => self.scales.len() * 4,
-            Scheme::Symmetric => self.scales.len() * 2,
-        };
-        words + params
-    }
-}
-
-
-impl PackedWeight for PackedMatrix {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    fn dequant_group32(&self, r: usize, g: usize) -> [F16; GROUP] {
-        self.dequant_group(r, g)
-    }
-
-    fn dequant_group32_into(&self, r: usize, g: usize, out: &mut [F16]) {
-        self.dequant_group_into(r, g, out);
+        (self.main.len() + self.tail.len()) * 4 + self.cfg.param_bytes(self.rows, self.cols)
     }
 }
 

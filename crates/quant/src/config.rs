@@ -107,6 +107,24 @@ impl QuantConfig {
         cols.div_ceil(self.group_size)
     }
 
+    /// FP16 parameter bytes of a `rows × cols` matrix: one scale per
+    /// group, plus one zero-point per group for asymmetric schemes.
+    pub fn param_bytes(&self, rows: usize, cols: usize) -> usize {
+        let per_group = match self.scheme {
+            Scheme::Asymmetric => 4, // f16 scale + f16 zero
+            Scheme::Symmetric => 2,  // f16 scale
+        };
+        rows * self.groups_per_row(cols) * per_group
+    }
+
+    /// Packed deployment bytes of a `rows × cols` matrix: `bits` per
+    /// code, rounded up to whole bytes, plus [`param_bytes`](Self::param_bytes).
+    /// The one memory rule of the workspace: quantized weights, quantized
+    /// compensators and the rank planner all bill through it.
+    pub fn packed_bytes(&self, rows: usize, cols: usize) -> usize {
+        (rows * cols * self.bits as usize).div_ceil(8) + self.param_bytes(rows, cols)
+    }
+
     /// Returns a copy with a different bit width.
     ///
     /// # Errors

@@ -140,14 +140,7 @@ impl QuantizedMatrix {
     /// This is the figure the paper's memory columns report — it does not
     /// include the transient one-byte-per-code working representation.
     pub fn packed_bytes(&self) -> usize {
-        let weight_bits = self.codes.len() * self.cfg.bits() as usize;
-        let weight_bytes = weight_bits.div_ceil(8);
-        let groups = self.scales.len();
-        let param_bytes = match self.cfg.scheme() {
-            Scheme::Asymmetric => groups * 4, // f16 scale + f16 zero
-            Scheme::Symmetric => groups * 2,  // f16 scale
-        };
-        weight_bytes + param_bytes
+        self.cfg.packed_bytes(self.rows, self.cols)
     }
 }
 

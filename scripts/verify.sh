@@ -20,7 +20,11 @@
 #    traces with `milo-cli trace-check` (well-formed JSON, monotonic
 #    timestamps, at least one span per instrumented stage). The
 #    quantized MILO artifact is drilled like step 4's MOEM one:
-#    `check --strict` passes on it and fails on a truncated copy.
+#    `check --strict` passes on it and fails on a truncated copy. A
+#    second, one-layer model at scale 0.5 (d_model 128, so every
+#    projection tiles at 128×128) is served the same way and its trace
+#    must contain `pack.gemm.fused`: the fused W3A16 kernel runs end to
+#    end.
 # 6. Serving soak: the seeded quick chaos soak (1000 requests, kill +
 #    poison + slow faults, burst arrivals, deadlines) through the real
 #    server; the soak itself asserts the invariants (no escaped panics,
@@ -163,7 +167,18 @@ MILO_TELEMETRY=trace "$cli" stats --model "$smoke_dir/tele.moem" \
     --trace-out "$smoke_dir/stats_trace.json" >/dev/null
 "$cli" trace-check --trace "$smoke_dir/stats_trace.json" \
     --require engine.forward,engine.layer,engine.attn,engine.ffn >/dev/null
+# The tiny model above never reaches the packed kernel; this one packs
+# every projection, so its forward passes run the fused GEMM.
+"$cli" synth --model mixtral --scale 0.5 --layers 1 --out "$smoke_dir/fused.moem" >/dev/null
+"$cli" quantize --model "$smoke_dir/fused.moem" --method milo --iters 4 --sparse-rank 2 \
+    --out "$smoke_dir/fused.milo" >/dev/null
+MILO_TELEMETRY=trace "$cli" stats --model "$smoke_dir/fused.moem" \
+    --compressed "$smoke_dir/fused.milo" --seqs 2 --seq-len 12 \
+    --trace-out "$smoke_dir/fused_trace.json" >/dev/null
+"$cli" trace-check --trace "$smoke_dir/fused_trace.json" \
+    --require engine.forward,pack.gemm.fused >/dev/null
 echo "ok: telemetry traces validated for quantize and stats (MILO_TELEMETRY=trace);"
+echo "    the fused INT3 kernel ran end to end (pack.gemm.fused traced);"
 echo "    milo-cli check verifies the MILO artifact and rejects a truncated copy"
 
 # --- 6. Serving soak (quick profile) ---------------------------------------
