@@ -35,10 +35,10 @@ use milo_bench::methods::{run_gptq_full, run_milo, run_rtn};
 use milo_bench::Args;
 use milo_core::serialize::{load_compressed_model, save_compressed_model};
 use milo_core::{MiloOptions, RankPolicy, SparseAllocation};
-use milo_eval::report::Json;
 use milo_eval::{generate_corpus, EvalConfig, EvalContext, Table};
 use milo_moe::serialize::{load_model, save_model};
 use milo_moe::{apply_compressed, profile_expert_frequency, MoeConfig, MoeModel};
+use milo_obs::json::JsonValue;
 use milo_quant::QuantConfig;
 use std::path::Path;
 use std::process::ExitCode;
@@ -220,20 +220,17 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
     println!("{}", t.render());
 
     if let Some(json_path) = args.get("json") {
-        let json = Json::Obj(vec![
-            ("memory_bytes".into(), Json::Num(result.memory_bytes as f64)),
-            ("perplexity".into(), Json::Num(result.ppl as f64)),
+        let num = |v: f64| JsonValue::Number(v);
+        let json = JsonValue::Object(vec![
+            ("memory_bytes".into(), num(result.memory_bytes as f64)),
+            ("perplexity".into(), num(result.ppl as f64)),
             (
                 "tasks".into(),
-                Json::Obj(
-                    result
-                        .task_scores
-                        .iter()
-                        .map(|(n, s)| (n.clone(), Json::Num(*s as f64)))
-                        .collect(),
+                JsonValue::Object(
+                    result.task_scores.iter().map(|(n, s)| (n.clone(), num(*s as f64))).collect(),
                 ),
             ),
-            ("zero_shot_avg".into(), Json::Num(result.zero_shot_avg() as f64)),
+            ("zero_shot_avg".into(), num(result.zero_shot_avg() as f64)),
         ]);
         std::fs::write(json_path, json.render())?;
         println!("wrote {json_path}");

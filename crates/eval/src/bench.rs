@@ -11,14 +11,10 @@
 //!
 //! Environment knobs (all optional):
 //!
-//! * `MILO_BENCH_SAMPLES` — number of samples per benchmark (default 15)
-//! * `MILO_BENCH_SAMPLE_MS` — target milliseconds per sample (default 25)
-//! * `MILO_BENCH_WARMUP_MS` — warmup milliseconds (default 50)
-//! * `MILO_BENCH_JSON` — directory to write `<suite>.json` into
 //! * `MILO_BENCH_QUICK` — set to `1`/`true` for the smoke configuration
-//!   ([`Config::quick`]); used by `scripts/verify.sh` to exercise the
-//!   bench path in seconds. Explicit `MILO_BENCH_*` knobs still apply on
-//!   top.
+//!   ([`Config::quick`]) instead of [`Config::full`]; used by
+//!   `scripts/verify.sh` to exercise the bench path in seconds.
+//! * `MILO_BENCH_JSON` — directory to write `<suite>.json` into
 //!
 //! # Examples
 //!
@@ -33,6 +29,7 @@
 //! ```
 
 use crate::timing::time_it;
+use milo_obs::json::JsonValue;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -49,17 +46,12 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// [`Config::quick`] under `MILO_BENCH_QUICK`, else [`Config::full`].
     fn default() -> Self {
-        let quick = Self::quick_mode();
-        let base = if quick { Self::quick() } else { Self::full() };
-        Self {
-            samples: env_usize("MILO_BENCH_SAMPLES", base.samples),
-            sample_time: Duration::from_millis(
-                env_usize("MILO_BENCH_SAMPLE_MS", base.sample_time.as_millis() as usize) as u64,
-            ),
-            warmup: Duration::from_millis(
-                env_usize("MILO_BENCH_WARMUP_MS", base.warmup.as_millis() as usize) as u64,
-            ),
+        if Self::quick_mode() {
+            Self::quick()
+        } else {
+            Self::full()
         }
     }
 }
@@ -74,8 +66,8 @@ impl Config {
         }
     }
 
-    /// The full measurement configuration ([`Config::default`] without
-    /// environment overrides).
+    /// The full measurement configuration ([`Config::default`] unless
+    /// `MILO_BENCH_QUICK` is set).
     pub fn full() -> Self {
         Self {
             samples: 15,
@@ -93,10 +85,6 @@ impl Config {
             })
             .unwrap_or(false)
     }
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
 }
 
 /// Summary statistics for one benchmark, in nanoseconds per iteration.
@@ -119,18 +107,17 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\
-             \"max_ns\":{:.1},\"iters_per_sample\":{},\"samples\":{}}}",
-            self.name,
-            self.median_ns,
-            self.mean_ns,
-            self.min_ns,
-            self.max_ns,
-            self.iters_per_sample,
-            self.samples
-        )
+    fn json(&self) -> JsonValue {
+        let num = |v: f64| JsonValue::Number(v);
+        JsonValue::Object(vec![
+            ("name".into(), JsonValue::String(self.name.clone())),
+            ("median_ns".into(), num(self.median_ns)),
+            ("mean_ns".into(), num(self.mean_ns)),
+            ("min_ns".into(), num(self.min_ns)),
+            ("max_ns".into(), num(self.max_ns)),
+            ("iters_per_sample".into(), num(self.iters_per_sample as f64)),
+            ("samples".into(), num(self.samples as f64)),
+        ])
     }
 }
 
@@ -231,8 +218,12 @@ impl Harness {
 
     /// Serializes all results as a JSON document.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.results.iter().map(BenchResult::json).collect();
-        format!("{{\"suite\":\"{}\",\"results\":[{}]}}", self.suite, rows.join(","))
+        let rows = self.results.iter().map(BenchResult::json).collect();
+        JsonValue::Object(vec![
+            ("suite".into(), JsonValue::String(self.suite.clone())),
+            ("results".into(), JsonValue::Array(rows)),
+        ])
+        .render()
     }
 
     /// Finishes the suite: writes `<suite>.json` if `MILO_BENCH_JSON`
@@ -323,6 +314,17 @@ mod tests {
         for key in ["\"suite\":\"suite-x\"", "\"name\":\"op\"", "median_ns", "iters_per_sample"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn json_escapes_suite_and_bench_names() {
+        let mut h = Harness::with_config("s\"uite", quick());
+        h.bench_once("a\"b\\c", || ());
+        let doc = milo_obs::json::parse(&h.to_json()).expect("harness JSON parses");
+        assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("s\"uite"));
+        let row = &doc.get("results").and_then(JsonValue::as_array).expect("results")[0];
+        assert_eq!(row.get("name").and_then(JsonValue::as_str), Some("a\"b\\c"));
+        assert_eq!(row.get("samples").and_then(JsonValue::as_number), Some(1.0));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! noise floor explicit: resample the per-sequence NLL contributions with
 //! replacement and read the metric's percentile band.
 
+use crate::ppl::per_sequence_nll;
 use milo_moe::{MoeModel, Result};
-use milo_tensor::pool::par_map;
 use milo_tensor::rng::StdRng;
 use milo_tensor::rng::{Rng, SeedableRng};
 
@@ -33,33 +33,6 @@ impl Bootstrap {
     pub fn half_width(&self) -> f32 {
         (self.hi - self.lo) / 2.0
     }
-}
-
-/// Per-sequence negative-log-likelihood contributions
-/// `(sum NLL, prediction count)`, the resampling unit for perplexity.
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn per_sequence_nll(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<Vec<(f64, usize)>> {
-    let results = par_map(corpus.len(), |s| -> Result<(f64, usize)> {
-        let seq = &corpus[s];
-        if seq.len() < 2 {
-            return Ok((0.0, 0));
-        }
-        let logits = model.forward(seq)?;
-        let mut nll = 0.0f64;
-        for i in 0..seq.len() - 1 {
-            let row = logits.row(i);
-            let target = seq[i + 1] as usize;
-            let max_l = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
-            let lse: f64 =
-                row.iter().map(|&l| ((l as f64) - max_l).exp()).sum::<f64>().ln() + max_l;
-            nll -= row[target] as f64 - lse;
-        }
-        Ok((nll, seq.len() - 1))
-    });
-    results.into_iter().collect()
 }
 
 /// Perplexity with a percentile-bootstrap interval at confidence

@@ -20,9 +20,8 @@
 //!   Table 1 / Fig. 8).
 //! * [`bench`](mod@bench) — a median-of-N microbenchmark harness (warmup, batch
 //!   calibration, JSON output) replacing the external `criterion` crate.
-//! * [`report`] — aligned text tables, CSV, and a minimal JSON writer for
-//!   experiment records (hand-rolled: the output schema is trivial and
-//!   `serde` alone cannot emit JSON).
+//! * [`report`] — aligned text tables and CSV; JSON records are built as
+//!   [`milo_obs::json::JsonValue`]s.
 //! * [`harness`] — method-level orchestration producing the rows of the
 //!   paper's evaluation tables.
 

@@ -49,7 +49,31 @@ pub fn perplexity(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<f32> {
     if corpus.is_empty() {
         return Err(milo_moe::MoeError::InvalidInput("empty corpus".into()));
     }
-    let per_seq = par_map(corpus.len(), |s| -> Result<(f64, usize)> {
+    let mut total_nll = 0.0f64;
+    let mut count = 0usize;
+    for (nll, c) in per_sequence_nll(model, corpus)? {
+        total_nll += nll;
+        count += c;
+    }
+    if count == 0 {
+        return Err(milo_moe::MoeError::InvalidInput(
+            "corpus has no next-token prediction targets".into(),
+        ));
+    }
+    Ok((total_nll / count as f64).exp() as f32)
+}
+
+/// Per-sequence negative-log-likelihood contributions
+/// `(sum NLL, prediction count)`, one forward pass per sequence, in
+/// parallel. A sequence shorter than two tokens contributes `(0.0, 0)`.
+/// This is both the sum behind [`perplexity`] and the resampling unit of
+/// [`perplexity_ci`](crate::ci::perplexity_ci).
+///
+/// # Errors
+///
+/// Propagates forward-pass failures.
+pub fn per_sequence_nll(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<Vec<(f64, usize)>> {
+    let results = par_map(corpus.len(), |s| -> Result<(f64, usize)> {
         let seq = &corpus[s];
         if seq.len() < 2 {
             return Ok((0.0, 0));
@@ -61,20 +85,7 @@ pub fn perplexity(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<f32> {
         }
         Ok((nll, seq.len() - 1))
     });
-
-    let mut total_nll = 0.0f64;
-    let mut count = 0usize;
-    for r in per_seq {
-        let (nll, c) = r?;
-        total_nll += nll;
-        count += c;
-    }
-    if count == 0 {
-        return Err(milo_moe::MoeError::InvalidInput(
-            "corpus has no next-token prediction targets".into(),
-        ));
-    }
-    Ok((total_nll / count as f64).exp() as f32)
+    results.into_iter().collect()
 }
 
 /// Numerically stable `log softmax(logits)[target]`.

@@ -1,8 +1,7 @@
 //! Report rendering: aligned text tables (the experiment binaries print
-//! the same rows the paper's tables report), CSV, and a minimal JSON
-//! emitter for machine-readable records.
+//! the same rows the paper's tables report) and CSV. Machine-readable
+//! records are built as [`milo_obs::json::JsonValue`]s.
 
-use milo_obs::json::escape;
 use std::fmt::Write as _;
 
 /// A simple column-aligned table.
@@ -84,52 +83,6 @@ impl Table {
     }
 }
 
-/// A minimal JSON value for experiment records.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Any finite number.
-    Num(f64),
-    /// String (escaped on render).
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serializes to a compact JSON string.
-    pub fn render(&self) -> String {
-        match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    format!("{n}")
-                } else {
-                    "null".into()
-                }
-            }
-            Json::Str(s) => format!("\"{}\"", escape(s)),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Json::Obj(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{}", escape(k), v.render()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,25 +112,5 @@ mod tests {
         let mut t = Table::new(["name", "note"]);
         t.push_row(["x", "a,b"]);
         assert!(t.to_csv().contains("\"a,b\""));
-    }
-
-    #[test]
-    fn json_renders_nested() {
-        let j = Json::Obj(vec![
-            ("name".into(), Json::Str("MiLo \"s1\"".into())),
-            ("ppl".into(), Json::Num(4.03)),
-            ("tasks".into(), Json::Arr(vec![Json::Num(1.0), Json::Null])),
-            ("ok".into(), Json::Bool(true)),
-        ]);
-        assert_eq!(
-            j.render(),
-            "{\"name\":\"MiLo \\\"s1\\\"\",\"ppl\":4.03,\"tasks\":[1,null],\"ok\":true}"
-        );
-    }
-
-    #[test]
-    fn json_escapes_control_chars() {
-        let j = Json::Str("a\nb\u{1}".into());
-        assert_eq!(j.render(), "\"a\\nb\\u0001\"");
     }
 }

@@ -1,8 +1,10 @@
 //! A minimal recursive-descent JSON parser — just enough to validate
 //! the trace files this workspace itself emits (and any other tool
-//! output `milo-cli` needs to inspect) without an external crate — and
-//! [`escape`], the string escaper every JSON writer in the workspace
-//! uses.
+//! output `milo-cli` needs to inspect) without an external crate — the
+//! value type it produces, [`JsonValue`], which is also what the
+//! experiment and bench records are built from and rendered with
+//! [`JsonValue::render`], and [`escape`], the string escaper every JSON
+//! writer in the workspace uses.
 //!
 //! Accepts standard JSON: objects, arrays, strings with escapes
 //! (including `\uXXXX` with surrogate pairs), numbers, booleans, null.
@@ -10,7 +12,8 @@
 //! semantics of [`JsonValue::get`] (first match wins, consistent with
 //! how the emitters in this workspace never produce duplicates).
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what [`JsonValue::render`]
+/// writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -59,6 +62,30 @@ impl JsonValue {
         match self {
             JsonValue::String(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// Serializes to a compact JSON string. Strings and keys go through
+    /// [`escape`]; non-finite numbers, which JSON cannot represent,
+    /// render as `null`.
+    pub fn render(&self) -> String {
+        match self {
+            JsonValue::Null => "null".into(),
+            JsonValue::Bool(b) => b.to_string(),
+            JsonValue::Number(n) if n.is_finite() => format!("{n}"),
+            JsonValue::Number(_) => "null".into(),
+            JsonValue::String(s) => format!("\"{}\"", escape(s)),
+            JsonValue::Array(items) => {
+                let inner: Vec<String> = items.iter().map(JsonValue::render).collect();
+                format!("[{}]", inner.join(","))
+            }
+            JsonValue::Object(fields) => {
+                let inner: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("\"{}\":{}", escape(k), v.render()))
+                    .collect();
+                format!("{{{}}}", inner.join(","))
+            }
         }
     }
 }
@@ -344,6 +371,34 @@ mod tests {
             "\"unterminated", "{} trailing", "[1 2]",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn render_writes_nested_values_that_parse_back() {
+        let v = JsonValue::Object(vec![
+            ("name".into(), JsonValue::String("MiLo \"s1\"".into())),
+            ("ppl".into(), JsonValue::Number(4.03)),
+            ("tasks".into(), JsonValue::Array(vec![JsonValue::Number(1.0), JsonValue::Null])),
+            ("ok".into(), JsonValue::Bool(true)),
+        ]);
+        let text = v.render();
+        assert_eq!(text, r#"{"name":"MiLo \"s1\"","ppl":4.03,"tasks":[1,null],"ok":true}"#);
+        assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn render_escapes_control_chars_and_parses_back() {
+        let v = JsonValue::String("a\nb\u{1}".into());
+        assert_eq!(v.render(), r#""a\nb\u0001""#);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn render_writes_non_finite_numbers_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = JsonValue::Array(vec![JsonValue::Number(n)]);
+            assert_eq!(parse(&v.render()).unwrap(), JsonValue::Array(vec![JsonValue::Null]));
         }
     }
 

@@ -8,7 +8,7 @@
 //! Fig. 8) and *calibration bias* (the result depends on the calibration
 //! set, §1).
 
-use crate::qtensor::group_ranges;
+use crate::qtensor::{asym_code, asym_grid, group_ranges};
 use crate::{QuantConfig, QuantError, QuantizedMatrix, Result, Scheme};
 use milo_tensor::linalg::{cholesky_decompose, cholesky_inverse};
 use milo_tensor::Matrix;
@@ -97,15 +97,9 @@ pub fn gptq_quantize(
         // (error-adjusted) weights, as the reference implementation does
         // when entering a new group.
         for r in 0..rows {
-            let chunk = &work.row(r)[range.clone()];
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &v in chunk {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            let s = if hi > lo { (hi - lo) / max_code } else { 1.0 };
+            let (s, z) = asym_grid(&work.row(r)[range.clone()], max_code);
             scales[r * groups_per_row + g] = s;
-            zeros[r * groups_per_row + g] = -lo / s;
+            zeros[r * groups_per_row + g] = z;
         }
         for j in range.clone() {
             let d = u[(j, j)].max(1e-12);
@@ -113,7 +107,7 @@ pub fn gptq_quantize(
                 let gi = r * groups_per_row + g;
                 let (s, z) = (scales[gi], zeros[gi]);
                 let v = work[(r, j)];
-                let q = (v / s + z).round().clamp(0.0, max_code);
+                let q = asym_code(v, s, z, max_code);
                 codes[r * cols + j] = q as u8;
                 let dq = s * (q - z);
                 let err = (v - dq) / d;

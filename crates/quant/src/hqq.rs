@@ -15,7 +15,7 @@
 //! solver but feeds it `W − U·V`, the weight minus the current low-rank
 //! compensator (see `milo-core`).
 
-use crate::qtensor::group_ranges;
+use crate::qtensor::{asym_code, group_ranges};
 use crate::{QuantConfig, QuantError, QuantizedMatrix, Result, Scheme};
 use milo_tensor::Matrix;
 
@@ -105,7 +105,7 @@ pub fn hqq_quantize(w: &Matrix, cfg: &QuantConfig, opts: &HqqOptions) -> Result<
                 // zero-point update (Eq. 8) in one pass.
                 let mut z_acc = 0.0f64;
                 for (i, &v) in chunk.iter().enumerate() {
-                    let q = (v / s + z).round().clamp(0.0, max_code);
+                    let q = asym_code(v, s, z, max_code);
                     codes[r * cols + range.start + i] = q as u8;
                     let dq = s * (q - z);
                     let e = v - dq;
@@ -132,8 +132,7 @@ pub fn hqq_quantize(w: &Matrix, cfg: &QuantConfig, opts: &HqqOptions) -> Result<
             let gi = r * groups_per_row + g;
             let (s, z) = (scales[gi], zeros[gi]);
             for (i, &v) in row[range.clone()].iter().enumerate() {
-                codes[r * cols + range.start + i] =
-                    (v / s + z).round().clamp(0.0, max_code) as u8;
+                codes[r * cols + range.start + i] = asym_code(v, s, z, max_code) as u8;
             }
         }
     }

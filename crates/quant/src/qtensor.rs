@@ -155,6 +155,25 @@ pub(crate) fn group_ranges(cols: usize, group_size: usize) -> impl Iterator<Item
     })
 }
 
+/// The asymmetric min/max grid `(s, z)` of one group: scale
+/// `s = (max − min) / max_code` (1 for a constant group) and zero-point
+/// `z = −min / s`, so the grid ends land on the group extremes.
+pub(crate) fn asym_grid(group: &[f32], max_code: f32) -> (f32, f32) {
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    for &v in group {
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    let s = if hi > lo { (hi - lo) / max_code } else { 1.0 };
+    (s, -lo / s)
+}
+
+/// The asymmetric code of `v` on the grid `(s, z)`:
+/// `round(v / s + z)` clamped to `[0, max_code]`.
+pub(crate) fn asym_code(v: f32, s: f32, z: f32, max_code: f32) -> f32 {
+    (v / s + z).round().clamp(0.0, max_code)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Round-to-nearest (RTN) grouped quantization — the cheapest baseline in
 //! the paper's Tables 1 and 3.
 
-use crate::qtensor::group_ranges;
+use crate::qtensor::{asym_code, asym_grid, group_ranges};
 use crate::{QuantConfig, QuantizedMatrix, Result, Scheme};
 use milo_tensor::Matrix;
 
@@ -34,16 +34,9 @@ pub fn rtn_quantize(w: &Matrix, cfg: &QuantConfig) -> Result<QuantizedMatrix> {
             let chunk = &row[range.clone()];
             match cfg.scheme() {
                 Scheme::Asymmetric => {
-                    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-                    for &v in chunk {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    let s = if hi > lo { (hi - lo) / max_code } else { 1.0 };
-                    let z = -lo / s;
+                    let (s, z) = asym_grid(chunk, max_code);
                     for (i, &v) in chunk.iter().enumerate() {
-                        let q = (v / s + z).round().clamp(0.0, max_code);
-                        codes[r * cols + range.start + i] = q as u8;
+                        codes[r * cols + range.start + i] = asym_code(v, s, z, max_code) as u8;
                     }
                     scales.push(s);
                     zeros.push(z);

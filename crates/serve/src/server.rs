@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use milo_moe::{
     FaultMode, HealthTracker, InjectedFault, Linear, MoeError, MoeModel, ResilienceContext,
 };
+use milo_tensor::pool;
 use milo_tensor::prng::SeedableRng;
 use milo_tensor::rng::StdRng;
 use milo_tensor::Matrix;
@@ -335,12 +336,7 @@ fn worker_loop(shared: &Shared) {
             Err(payload) => {
                 shared.stats.panics.fetch_add(1, Ordering::Relaxed);
                 milo_obs::counter_inc("serve.panic.total");
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                Err(ServeError::Internal(msg))
+                Err(ServeError::Internal(pool::panic_message(payload.as_ref())))
             }
         };
         match &result {

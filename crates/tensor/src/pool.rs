@@ -99,8 +99,9 @@ fn join_propagating<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
     }
 }
 
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a human-readable message from a panic payload: the `&str` or
+/// `String` it carries, or a placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -171,96 +172,60 @@ impl Drop for TaskGuard {
     }
 }
 
-/// Calls `body(i)` for every `i in 0..tasks`, splitting the index range
-/// into contiguous chunks across up to [`max_threads`] scoped threads
-/// (the calling thread processes the first chunk). Serial when one
-/// thread is configured, when `tasks <= 1`, or when called from inside
+/// The one scheduler behind [`par_map`], [`try_par_map`] and
+/// [`parallel_chunks_mut`]: calls `f(i, item)` for every item and returns
+/// the results in item order.
+///
+/// The items are split into at most [`max_threads`] contiguous runs of
+/// `n.div_ceil(threads)` items; the calling thread takes the first run and
+/// one scoped thread takes each other run. Serial when one thread is
+/// configured, when there is at most one item, or when called from inside
 /// another pool task.
 ///
 /// # Panics
 ///
-/// Propagates panics from `body` (the scope joins every worker).
-pub fn parallel_for(tasks: usize, body: impl Fn(usize) + Sync) {
-    let threads = max_threads().min(tasks);
-    if threads <= 1 {
+/// Re-raises the original payload of a panic in `f` (the scope joins every
+/// run first).
+fn fork_join<I: Send, T: Send>(items: Vec<I>, f: impl Fn(usize, I) -> T + Sync) -> Vec<T> {
+    let n = items.len();
+    let threads = max_threads().min(n).max(1);
+    let per_run = n.div_ceil(threads);
+    // Run `worker`'s items, which start at item index `first`.
+    let run = |worker: usize, first: usize, items: Vec<I>| -> Vec<T> {
         let t0 = busy_timer();
-        for i in 0..tasks {
-            body(i);
-        }
-        record_busy(0, tasks as u64, t0);
-        return;
+        let _guard = (threads > 1).then(TaskGuard::enter);
+        let out: Vec<T> =
+            items.into_iter().enumerate().map(|(k, item)| f(first + k, item)).collect();
+        record_busy(worker, out.len() as u64, t0);
+        out
+    };
+    if threads == 1 {
+        return run(0, 0, items);
     }
-    let chunk = tasks.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let body = &body;
-        let handles: Vec<_> = (1..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let t0 = busy_timer();
-                    let _guard = TaskGuard::enter();
-                    let (lo, hi) = (t * chunk, tasks.min((t + 1) * chunk));
-                    for i in lo..hi {
-                        body(i);
-                    }
-                    record_busy(t, (hi - lo) as u64, t0);
-                })
-            })
-            .collect();
-        {
-            let t0 = busy_timer();
-            let _guard = TaskGuard::enter();
-            for i in 0..chunk.min(tasks) {
-                body(i);
-            }
-            record_busy(0, chunk.min(tasks) as u64, t0);
-        }
-        for h in handles {
-            join_propagating(h);
-        }
+    let mut rest = items.into_iter();
+    let mut runs = std::iter::from_fn(|| {
+        let items: Vec<I> = rest.by_ref().take(per_run).collect();
+        (!items.is_empty()).then_some(items)
     });
+    let head = runs.next().expect("n > 1 items");
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = (1..)
+            .zip(runs)
+            .map(|(w, items)| scope.spawn(move || run(w, w * per_run, items)))
+            .collect();
+        let mut out = run(0, 0, head);
+        for h in handles {
+            out.extend(join_propagating(h));
+        }
+        out
+    })
 }
 
-/// Maps `f` over `0..n`, returning results in index order. Same
-/// scheduling and nesting rules as [`parallel_for`].
+/// Maps `f` over `0..n`, returning results in index order, on the
+/// contiguous split and nesting rule of the pool's one scheduler.
 pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let threads = max_threads().min(n);
-    if threads <= 1 {
-        let t0 = busy_timer();
-        let out: Vec<T> = (0..n).map(f).collect();
-        record_busy(0, n as u64, t0);
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (1..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let t0 = busy_timer();
-                    let _guard = TaskGuard::enter();
-                    let out: Vec<T> =
-                        (t * chunk..n.min((t + 1) * chunk)).map(f).collect();
-                    record_busy(t, out.len() as u64, t0);
-                    out
-                })
-            })
-            .collect();
-        let head = {
-            let t0 = busy_timer();
-            let _guard = TaskGuard::enter();
-            let out: Vec<T> = (0..chunk.min(n)).map(f).collect();
-            record_busy(0, out.len() as u64, t0);
-            out
-        };
-        let mut out = vec![head];
-        out.extend(handles.into_iter().map(join_propagating));
-        out
-    });
-    let mut flat = Vec::with_capacity(n);
-    for c in &mut chunks {
-        flat.append(c);
-    }
-    flat
+    fork_join(vec![(); n], |i, ()| f(i))
 }
 
 /// A captured per-task panic from [`try_par_map`]: which task index
@@ -329,65 +294,7 @@ pub fn parallel_chunks_mut<T: Send>(
     body: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    if data.is_empty() {
-        return;
-    }
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 {
-        let t0 = busy_timer();
-        for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            body(i, c);
-        }
-        record_busy(0, n_chunks as u64, t0);
-        return;
-    }
-    // Group whole chunks into one contiguous run per thread.
-    let per_thread = n_chunks.div_ceil(threads);
-    let mut runs: Vec<(usize, &mut [T])> = Vec::with_capacity(threads);
-    let mut rest = data;
-    let mut first_chunk = 0;
-    while !rest.is_empty() {
-        let take = (per_thread * chunk_len).min(rest.len());
-        let (run, tail) = rest.split_at_mut(take);
-        runs.push((first_chunk, run));
-        first_chunk += per_thread;
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        let body = &body;
-        let mut iter = runs.into_iter();
-        let head = iter.next().expect("data is non-empty");
-        let handles: Vec<_> = iter
-            .enumerate()
-            .map(|(w, (first, run))| {
-                scope.spawn(move || {
-                    let t0 = busy_timer();
-                    let _guard = TaskGuard::enter();
-                    let mut done = 0u64;
-                    for (off, c) in run.chunks_mut(chunk_len).enumerate() {
-                        body(first + off, c);
-                        done += 1;
-                    }
-                    record_busy(w + 1, done, t0);
-                })
-            })
-            .collect();
-        {
-            let t0 = busy_timer();
-            let _guard = TaskGuard::enter();
-            let (first, run) = head;
-            let mut done = 0u64;
-            for (off, c) in run.chunks_mut(chunk_len).enumerate() {
-                body(first + off, c);
-                done += 1;
-            }
-            record_busy(0, done, t0);
-        }
-        for h in handles {
-            join_propagating(h);
-        }
-    });
+    fork_join(data.chunks_mut(chunk_len).collect(), body);
 }
 
 #[cfg(test)]
@@ -410,16 +317,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
+    fn par_map_visits_every_index_once() {
         for t in [1, 2, 4, 7] {
             let hits: Vec<AtomicUsize> = (0..19).map(|_| AtomicUsize::new(0)).collect();
             with_threads(t, || {
-                parallel_for(19, |i| {
+                par_map(19, |i| {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 })
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "threads={t}");
         }
+    }
+
+    #[test]
+    fn par_map_splits_into_contiguous_runs_led_by_the_caller() {
+        // Item i runs on run i / n.div_ceil(threads); run 0 is the caller.
+        let caller = std::thread::current().id();
+        for (t, n) in [(1, 10), (2, 10), (4, 10), (7, 10), (7, 3)] {
+            let ids = with_threads(t, || par_map(n, |_| std::thread::current().id()));
+            let per_run = n.div_ceil(t.min(n));
+            for i in 0..n {
+                for j in 0..n {
+                    let same_run = i / per_run == j / per_run;
+                    assert_eq!(ids[i] == ids[j], same_run, "threads={t}, items {i} and {j}");
+                }
+            }
+            assert_eq!(ids[0], caller, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn three_items_at_seven_threads() {
+        let out = with_threads(7, || par_map(3, |i| i * 2));
+        assert_eq!(out, vec![0, 2, 4]);
+        let mut data = [0usize; 3];
+        with_threads(7, || parallel_chunks_mut(&mut data, 1, |ci, c| c[0] = ci + 1));
+        assert_eq!(data, [1, 2, 3]);
     }
 
     #[test]
@@ -472,34 +405,85 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                parallel_for(8, |i| {
-                    if i == 5 {
-                        panic!("boom");
-                    }
+    fn parallel_chunks_mut_hands_out_a_short_final_chunk() {
+        for t in [1, 2, 4, 7] {
+            let lens: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+            let mut data = vec![0u8; 37];
+            with_threads(t, || {
+                parallel_chunks_mut(&mut data, 5, |ci, chunk| {
+                    lens[ci].fetch_add(chunk.len(), Ordering::Relaxed);
                 })
-            })
-        });
-        assert!(r.is_err());
+            });
+            let lens: Vec<usize> = lens.iter().map(|l| l.load(Ordering::Relaxed)).collect();
+            assert_eq!(lens, [5, 5, 5, 5, 5, 5, 5, 2], "threads={t}");
+        }
+    }
+
+    #[test]
+    fn empty_data_runs_no_task() {
+        for t in [1, 2, 4, 7] {
+            let calls = AtomicUsize::new(0);
+            with_threads(t, || {
+                parallel_chunks_mut(&mut [0u32; 0], 4, |_, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(par_map(0, |i| calls.fetch_add(i + 1, Ordering::Relaxed)).is_empty());
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn worker_panic_propagates() {
+        for t in [1, 2, 4, 7] {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    par_map(8, |i| {
+                        if i == 5 {
+                            panic!("boom");
+                        }
+                    })
+                })
+            });
+            assert!(r.is_err(), "threads={t}");
+        }
     }
 
     #[test]
     fn worker_panic_reraises_the_original_message() {
-        let r = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                parallel_for(8, |i| {
-                    // Panic on a worker-thread index (not the caller's
-                    // chunk) so the join path is what re-raises.
-                    if i == 7 {
-                        panic!("expert 7 exploded: {}", 6 * 7);
-                    }
+        for t in [1, 2, 4, 7] {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    par_map(8, |i| {
+                        // The last index is in a spawned run (not the
+                        // caller's) whenever t > 1, so the join path is
+                        // what re-raises.
+                        if i == 7 {
+                            panic!("expert 7 exploded: {}", 6 * 7);
+                        }
+                    })
                 })
-            })
-        });
-        let payload = r.unwrap_err();
-        assert_eq!(panic_message(payload.as_ref()), "expert 7 exploded: 42");
+            });
+            let payload = r.unwrap_err();
+            assert_eq!(panic_message(payload.as_ref()), "expert 7 exploded: 42", "threads={t}");
+        }
+    }
+
+    #[test]
+    fn parallel_chunks_mut_reraises_a_spawned_run_panic() {
+        for t in [1, 2, 4, 7] {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(t, || {
+                    parallel_chunks_mut(&mut [0u8; 40], 4, |ci, _| {
+                        if ci == 9 {
+                            panic!("strip {ci} overflowed");
+                        }
+                    })
+                })
+            });
+            let payload = r.unwrap_err();
+            assert_eq!(panic_message(payload.as_ref()), "strip 9 overflowed", "threads={t}");
+        }
     }
 
     #[test]

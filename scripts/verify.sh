@@ -10,7 +10,8 @@
 #    bench that no later step compiles.
 # 3. Smoke-runs the gemm bench in quick mode (MILO_BENCH_QUICK=1) and
 #    checks the recorded baseline `results/BENCH_gemm_threads.json` is
-#    emitted and is well-formed JSON.
+#    emitted and is well-formed JSON. With MILO_BENCH_JSON pointing at
+#    the smoke directory, the harness's own `gemm.json` must parse too.
 # 4. Fault-injection smoke: runs the corruption fuzz + recovery-path
 #    drills under a fixed MILO_FAULT_SEED, and exercises `milo-cli check`
 #    on a clean and a deliberately corrupted MOEM artifact (the corrupt
@@ -91,32 +92,41 @@ echo "ok: offline release build, test suite and all-targets check passed"
 # --- 3. Bench smoke (quick mode) -----------------------------------------
 # Run the gemm bench with the smoke configuration into a scratch baseline
 # path so the committed results/BENCH_gemm_threads.json (full-config run)
-# is not clobbered, then validate the emitted JSON.
-smoke_json=$(mktemp /tmp/BENCH_gemm_threads.XXXXXX.json)
-trap 'rm -f "$smoke_json"' EXIT
-MILO_BENCH_QUICK=1 MILO_BENCH_BASELINE="$smoke_json" \
+# is not clobbered, and write the suite JSON into the scratch directory
+# steps 4 and 5 also use; then validate both emitted files.
+smoke_dir=$(mktemp -d /tmp/milo-check.XXXXXX)
+smoke_json="$smoke_dir/baseline.json"
+suite_json="$smoke_dir/gemm.json"
+trap 'rm -rf "$smoke_dir"' EXIT
+MILO_BENCH_QUICK=1 MILO_BENCH_BASELINE="$smoke_json" MILO_BENCH_JSON="$smoke_dir" \
     cargo bench --offline -p milo-bench --bench gemm >/dev/null
 
-if [ ! -s "$smoke_json" ]; then
-    echo "ERROR: bench smoke did not emit $smoke_json"
-    exit 1
-fi
+for f in "$smoke_json" "$suite_json"; do
+    if [ ! -s "$f" ]; then
+        echo "ERROR: bench smoke did not emit $f"
+        exit 1
+    fi
+done
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$smoke_json" <<'PY'
+    python3 - "$smoke_json" "$suite_json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 for key in ("baseline", "host_threads", "derived"):
     assert key in doc, f"missing key: {key}"
 assert doc["baseline"]["suite"] == "BENCH_gemm_threads"
 assert doc["baseline"]["results"], "baseline has no results"
+suite = json.load(open(sys.argv[2]))
+assert suite["suite"] == "gemm", f"unexpected suite: {suite.get('suite')}"
+assert suite["results"], "gemm suite has no results"
 PY
 else
     # Fallback without python3: sanity-grep the structure.
     grep -q '"suite":"BENCH_gemm_threads"' "$smoke_json"
     grep -q '"host_threads":' "$smoke_json"
     grep -q '"derived":' "$smoke_json"
+    grep -q '"suite":"gemm"' "$suite_json"
 fi
-echo "ok: quick-mode gemm bench emitted a well-formed threads baseline"
+echo "ok: quick-mode gemm bench emitted a well-formed threads baseline and suite JSON"
 
 # --- 4. Fault-injection smoke ---------------------------------------------
 # The seeded fault suites (corruption fuzz in milo-faults, recovery-path
@@ -128,8 +138,6 @@ echo "ok: seeded fault-injection suites passed (MILO_FAULT_SEED=0x4d694c6f)"
 
 # The integrity checker end to end: a clean artifact verifies, a
 # corrupted copy is rejected with a nonzero exit and no panic.
-smoke_dir=$(mktemp -d /tmp/milo-check.XXXXXX)
-trap 'rm -f "$smoke_json"; rm -rf "$smoke_dir"' EXIT
 cli=target/release/milo-cli
 "$cli" synth --model mixtral --scale 0.1 --layers 1 --out "$smoke_dir/ref.moem" >/dev/null
 "$cli" check --artifact "$smoke_dir/ref.moem" --strict >/dev/null
