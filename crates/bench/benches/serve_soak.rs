@@ -15,6 +15,7 @@
 
 use milo_eval::bench::Config;
 use milo_faults::{run_soak, SoakConfig, SoakReport};
+use milo_obs::json::JsonValue;
 
 fn write_baseline(report: &SoakReport, quick: bool) {
     let path = match std::env::var("MILO_BENCH_BASELINE") {
@@ -25,19 +26,24 @@ fn write_baseline(report: &SoakReport, quick: bool) {
     };
     let host_threads =
         std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    let json = format!(
-        "{{\"baseline\":{report},\
-         \"host_threads\":{host_threads},\
-         \"quick\":{quick},\
-         \"derived\":{{\
-           \"throughput_rps\":{rps:.1},\
-           \"shed_rate\":{shed:.4},\
-           \"reject_rate\":{rej:.4}}}}}",
-        report = report.to_json().replace(['\n', ' '], ""),
-        rps = report.throughput_rps,
-        shed = report.shed_rate,
-        rej = report.rejected as f64 / report.submitted.max(1) as f64,
-    );
+    let field = |k: &str, v: JsonValue| (k.to_string(), v);
+    let json = JsonValue::Object(vec![
+        field("baseline", report.to_json()),
+        field("host_threads", JsonValue::Number(host_threads as f64)),
+        field("quick", JsonValue::Bool(quick)),
+        field(
+            "derived",
+            JsonValue::Object(vec![
+                field("throughput_rps", JsonValue::Number(report.throughput_rps)),
+                field("shed_rate", JsonValue::Number(report.shed_rate)),
+                field(
+                    "reject_rate",
+                    JsonValue::Number(report.rejected as f64 / report.submitted.max(1) as f64),
+                ),
+            ]),
+        ),
+    ])
+    .render();
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),

@@ -16,8 +16,9 @@
 //! # Inspect a compressed model:
 //! milo-cli info --compressed compressed.milo
 //!
-//! # Verify artifact integrity (checksums, per-layer status):
-//! milo-cli check --artifact compressed.milo [--strict]
+//! # Verify artifact integrity (checksums, per-layer status); fails
+//! # exactly where loading would:
+//! milo-cli check --artifact compressed.milo
 //!
 //! # Run forwards on the packed engine and print the telemetry report
 //! # (per-layer latency percentiles, per-expert activations, load skew):
@@ -52,9 +53,8 @@ fn usage() -> ExitCode {
                    [--sparse-policy uniform|kurtosis|frequency] [--iters n] --out FILE\n  \
          eval      --model FILE --compressed FILE [--json FILE]\n  \
          info      --compressed FILE\n  \
-         check     --artifact FILE [--strict]   (verify MILO/MOEM checksums; \
---strict also rejects\n            \
-                   unchecksummed legacy artifacts and trailing data)\n  \
+         check     --artifact FILE   (verify MILO/MOEM checksums; fails on a corrupt\n            \
+                   section or trailing data, exactly where loading would)\n  \
          stats     --model FILE --compressed FILE [--seqs n] [--seq-len n] [--seed n]\n            \
                    (run packed-engine forwards, print telemetry: per-layer latency\n            \
                    percentiles, per-expert activations, load skew, quarantines)\n  \
@@ -63,8 +63,7 @@ fn usage() -> ExitCode {
                    >=1 span per required prefix)\n  \
          soak      [--quick|--full] [--seed n] [--requests n] [--deadline-ms n] [--json FILE]\n            \
                    (seeded chaos soak of the serving layer: kill/poison/slow faults,\n            \
-                   burst arrivals; fails on any violated invariant. Env: MILO_SOAK_SEED,\n            \
-                   MILO_DEADLINE_MS)\n\
+                   burst arrivals; fails on any violated invariant)\n\
          \n\
          quantize/eval/stats also accept --trace-out FILE (write Chrome trace JSON;\n\
          implies MILO_TELEMETRY=trace)"
@@ -239,14 +238,13 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
 }
 
 /// Verifies an artifact's section checksums without materializing the
-/// model, printing per-section integrity and failing (nonzero exit) if
-/// any section is damaged. Handles both artifact formats, sniffed from
-/// the magic tag: `MILO` (compressed models) and `MOEM` (reference
-/// models). With `--strict`, unchecksummed legacy (v1) artifacts and
-/// trailing bytes after the final section are also failures.
+/// model, printing per-section integrity. Fails (nonzero exit) on a
+/// damaged, truncated or malformed section and on trailing bytes after
+/// the final section: exactly where loading the artifact would fail.
+/// Handles both artifact formats, sniffed from the magic tag: `MILO`
+/// (compressed models) and `MOEM` (reference models).
 fn cmd_check(args: &Args) -> Result<(), CliError> {
     let path = required(args, "artifact")?;
-    let strict = args.flag("strict");
     let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
 
     use std::io::Read;
@@ -267,43 +265,28 @@ fn cmd_check(args: &Args) -> Result<(), CliError> {
         }
     };
 
-    println!(
-        "{path}: {format} v{} ({})",
-        report.version,
-        if report.checksummed { "checksummed" } else { "legacy, no checksums" }
-    );
-    if report.checksummed {
-        let mut t = Table::new(["section", "bytes", "status"]);
-        for s in &report.sections {
-            t.push_row([
-                s.name.clone(),
-                s.bytes.to_string(),
-                match &s.fault {
-                    None => "ok".to_string(),
-                    Some(f) => format!("CORRUPT: {f}"),
-                },
-            ]);
-        }
-        println!("{}", t.render());
-        if report.trailing_data {
-            println!("warning: trailing data after the final section");
-        }
+    println!("{path}: {format}");
+    let mut t = Table::new(["section", "bytes", "status"]);
+    for s in &report.sections {
+        t.push_row([
+            s.name.clone(),
+            s.bytes.to_string(),
+            match &s.fault {
+                None => "ok".to_string(),
+                Some(f) => format!("CORRUPT: {f}"),
+            },
+        ]);
     }
+    println!("{}", t.render());
 
     let n_corrupt = report.n_corrupt();
     if n_corrupt > 0 {
         return Err(format!("{n_corrupt} corrupt section(s) detected").into());
     }
-    if strict && !report.checksummed {
-        return Err("legacy artifact has no checksums (rejected by --strict)".into());
+    if report.trailing_data {
+        return Err("trailing data after the final section".into());
     }
-    if strict && report.trailing_data {
-        return Err("trailing data after the final section (rejected by --strict)".into());
-    }
-    println!(
-        "integrity ok: {} section(s) verified",
-        if report.checksummed { report.sections.len() } else { 0 }
-    );
+    println!("integrity ok: {} section(s) verified", report.sections.len());
     Ok(())
 }
 
@@ -404,15 +387,7 @@ fn cmd_trace_check(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_soak(args: &Args) -> Result<(), CliError> {
-    let env_u64 = |name: &str| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-    };
-    let seed = args
-        .get_u64("seed")
-        .or_else(|| env_u64("MILO_SOAK_SEED"))
-        .unwrap_or(milo_faults::fault_seed());
+    let seed = args.get_u64("seed").unwrap_or_else(milo_faults::fault_seed);
     let mut cfg = if args.flag("full") {
         milo_faults::SoakConfig::full(seed)
     } else {
@@ -423,7 +398,7 @@ fn cmd_soak(args: &Args) -> Result<(), CliError> {
     if let Some(n) = args.get_u64("requests") {
         cfg.requests = n as usize;
     }
-    if let Some(ms) = args.get_u64("deadline-ms").or_else(|| env_u64("MILO_DEADLINE_MS")) {
+    if let Some(ms) = args.get_u64("deadline-ms") {
         cfg.deadline = std::time::Duration::from_millis(ms);
     }
     println!(
@@ -431,7 +406,7 @@ fn cmd_soak(args: &Args) -> Result<(), CliError> {
         cfg.seed, cfg.requests, cfg.workers, cfg.queue_capacity, cfg.deadline
     );
     let report = milo_faults::run_soak(&cfg).map_err(|e| -> CliError { e.into() })?;
-    println!("{}", report.to_json());
+    println!("{}", report.to_json().render());
     println!(
         "soak ok: {} ok / {} admitted ({} rejected, {} shed, {} deadline-exceeded, {} retries), \
          breaker cycle {}→{}→{}, {:.1} req/s",
@@ -447,7 +422,7 @@ fn cmd_soak(args: &Args) -> Result<(), CliError> {
         report.throughput_rps,
     );
     if let Some(path) = args.get("json") {
-        std::fs::write(path, report.to_json())?;
+        std::fs::write(path, report.to_json().render())?;
         println!("wrote soak report -> {path}");
     }
     Ok(())

@@ -7,11 +7,10 @@
 //! quantized weight (via `milo-quant`'s format), an optional compensator
 //! (FP32 factors or quantized factors), and the convergence history.
 //!
-//! Since version 2 every record is a checksummed section: a flipped bit
-//! or a truncated file is reported as a typed
+//! Every record is a checksummed section: a flipped bit or a truncated
+//! file is reported as a typed
 //! [`CorruptSection`](milo_tensor::io::CorruptSection) error naming the
-//! offending layer, never as silently-garbage weights. Version 1
-//! artifacts (no checksums) are still read.
+//! offending layer, never as silently-garbage weights.
 
 use crate::compensator::{Compensator, LowRankCompensator, QuantizedCompensator};
 use crate::model::{CompressedModel, LayerRecord};
@@ -21,7 +20,7 @@ use milo_quant::serialize::{read_quantized, write_quantized};
 use milo_tensor::io::{
     invalid, read_f32, read_f32_vec, read_matrix, read_string, read_u32, read_u64, write_f32,
     write_f32_slice, write_matrix, write_string, write_u32, write_u64, ArtifactFormat,
-    IntegrityReport, LEGACY_VERSION, VERSION,
+    IntegrityReport,
 };
 use std::io::{self, Read, Write};
 
@@ -89,8 +88,8 @@ fn read_compensator(r: &mut impl Read) -> io::Result<Compensator> {
     })
 }
 
-/// Writes one layer record's payload (the version-1 record layout, which
-/// version 2 wraps in a checksummed section).
+/// Writes one layer record's payload (the container frames it in a
+/// checksummed section).
 fn write_layer_record(w: &mut impl Write, rec: &LayerRecord) -> io::Result<()> {
     write_string(w, &rec.name)?;
     write_kind(w, rec.meta.kind)?;
@@ -152,38 +151,22 @@ fn label(payload: &[u8]) -> Option<String> {
     (!name.chars().any(char::is_control)).then(|| name.to_string())
 }
 
-/// Writes a compressed model to a binary stream (current format: version
-/// 2, one checksummed section per layer).
+/// Writes a compressed model to a binary stream, one checksummed section
+/// per layer.
 ///
 /// # Errors
 ///
 /// Propagates IO failures.
 pub fn write_compressed_model(w: &mut impl Write, model: &CompressedModel) -> io::Result<()> {
-    FORMAT.write(w, VERSION, &[], &model.layers, write_layer_record)
+    FORMAT.write(w, &[], &model.layers, write_layer_record)
 }
 
-/// Writes a compressed model in the legacy version-1 layout (no
-/// checksums). Kept for compatibility tests and for producing artifacts
-/// older readers understand; new code should use
-/// [`write_compressed_model`].
+/// Reads a compressed model from a binary stream.
 ///
 /// # Errors
 ///
-/// Propagates IO failures.
-pub fn write_compressed_model_v1(
-    w: &mut impl Write,
-    model: &CompressedModel,
-) -> io::Result<()> {
-    FORMAT.write(w, LEGACY_VERSION, &[], &model.layers, write_layer_record)
-}
-
-/// Reads a compressed model from a binary stream (versions 1 and 2).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for malformed input or unsupported versions.
-/// For version-2 artifacts a checksum failure, truncation or malformed
-/// record surfaces as a typed
+/// Returns `InvalidData` for malformed input or unsupported versions. A
+/// checksum failure, truncation or malformed record surfaces as a typed
 /// [`CorruptSection`](milo_tensor::io::CorruptSection) (recoverable from
 /// the error via [`milo_tensor::io::corrupt_section_info`]) naming the
 /// offending layer.
@@ -194,8 +177,8 @@ pub fn read_compressed_model(r: &mut impl Read) -> io::Result<CompressedModel> {
 
 /// Walks a compressed-model stream verifying every section, decoding one
 /// layer at a time, and reports per-layer integrity (see
-/// [`ArtifactFormat::verify`]). Version-1 artifacts carry no checksums;
-/// the report says so (`checksummed == false`) and lists no sections.
+/// [`ArtifactFormat::verify`]). The report is ok exactly when
+/// [`read_compressed_model`] succeeds.
 ///
 /// # Errors
 ///
@@ -308,16 +291,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_artifacts_still_read() {
+    fn version_1_streams_are_refused() {
+        // The pre-checksum layout: magic, version 1, count, unframed records.
         let model = sample_model(Some(milo_quant::QuantConfig::int3_sym()));
-        let mut v1 = Vec::new();
-        write_compressed_model_v1(&mut v1, &model).unwrap();
-        assert_eq!(v1[4], LEGACY_VERSION as u8);
-        let out = read_compressed_model(&mut Cursor::new(v1)).unwrap();
-        assert_eq!(out.layers.len(), model.layers.len());
-        for (a, b) in out.layers.iter().zip(&model.layers) {
-            assert_eq!(a.layer, b.layer);
+        let mut v1 = b"MILO".to_vec();
+        write_u32(&mut v1, 1).unwrap();
+        write_u64(&mut v1, model.layers.len() as u64).unwrap();
+        for rec in &model.layers {
+            write_layer_record(&mut v1, rec).unwrap();
         }
+        let err = read_compressed_model(&mut Cursor::new(&v1[..])).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(verify_compressed_stream(&mut Cursor::new(&v1[..])).is_err());
     }
 
     #[test]
@@ -360,7 +345,6 @@ mod tests {
 
         let clean = verify_compressed_stream(&mut Cursor::new(&buf[..])).unwrap();
         assert!(clean.is_ok());
-        assert!(clean.checksummed);
         assert_eq!(clean.sections.len(), 3);
         assert!(clean.sections[1].name.contains("layer0.expert1.w1"));
 
@@ -373,16 +357,6 @@ mod tests {
         assert!(!report.is_ok());
         assert_eq!(report.n_corrupt(), 1);
         assert_eq!(report.sections.len(), 3);
-    }
-
-    #[test]
-    fn verify_handles_legacy_artifacts() {
-        let model = sample_model(None);
-        let mut v1 = Vec::new();
-        write_compressed_model_v1(&mut v1, &model).unwrap();
-        let report = verify_compressed_stream(&mut Cursor::new(v1)).unwrap();
-        assert!(!report.checksummed);
-        assert!(report.is_ok());
     }
 
     #[test]

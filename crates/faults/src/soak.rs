@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
 use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeError, MoeModel};
+use milo_obs::json::JsonValue;
 use milo_quant::HqqOptions;
 use milo_serve::{Request, RetryPolicy, ServeError, Server, ServerConfig, Ticket};
 use milo_tensor::prng::{Rng, SeedableRng};
@@ -152,59 +153,40 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// Renders the report as a JSON object (used by the CLI and the
-    /// bench baseline).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"seed\": {},\n",
-                "  \"submitted\": {},\n",
-                "  \"admitted\": {},\n",
-                "  \"rejected\": {},\n",
-                "  \"ok\": {},\n",
-                "  \"deadline_exceeded\": {},\n",
-                "  \"shed\": {},\n",
-                "  \"retries_exhausted\": {},\n",
-                "  \"expert_errors\": {},\n",
-                "  \"engine_errors\": {},\n",
-                "  \"internal_errors\": {},\n",
-                "  \"retries\": {},\n",
-                "  \"deadline_violations\": {},\n",
-                "  \"max_queue_depth\": {},\n",
-                "  \"breaker_trips\": {},\n",
-                "  \"breaker_half_open\": {},\n",
-                "  \"breaker_recovered\": {},\n",
-                "  \"still_quarantined\": {},\n",
-                "  \"drain_requests\": {},\n",
-                "  \"elapsed_ms\": {:.1},\n",
-                "  \"throughput_rps\": {:.1},\n",
-                "  \"shed_rate\": {:.4}\n",
-                "}}"
-            ),
-            self.seed,
-            self.submitted,
-            self.admitted,
-            self.rejected,
-            self.ok,
-            self.deadline_exceeded,
-            self.shed,
-            self.retries_exhausted,
-            self.expert_errors,
-            self.engine_errors,
-            self.internal_errors,
-            self.retries,
-            self.deadline_violations,
-            self.max_queue_depth,
-            self.breaker_trips,
-            self.breaker_half_open,
-            self.breaker_recovered,
-            self.still_quarantined,
-            self.drain_requests,
-            self.elapsed.as_secs_f64() * 1e3,
-            self.throughput_rps,
-            self.shed_rate,
-        )
+    /// The report as a JSON object (used by the CLI and the bench
+    /// baseline). The seed is a decimal string: a JSON number cannot
+    /// hold every `u64` exactly, and the seed must reproduce the run.
+    pub fn to_json(&self) -> JsonValue {
+        let counts = [
+            ("submitted", self.submitted),
+            ("admitted", self.admitted),
+            ("rejected", self.rejected),
+            ("ok", self.ok),
+            ("deadline_exceeded", self.deadline_exceeded),
+            ("shed", self.shed),
+            ("retries_exhausted", self.retries_exhausted),
+            ("expert_errors", self.expert_errors),
+            ("engine_errors", self.engine_errors),
+            ("internal_errors", self.internal_errors),
+            ("retries", self.retries),
+            ("deadline_violations", self.deadline_violations),
+            ("max_queue_depth", self.max_queue_depth),
+            ("breaker_trips", self.breaker_trips),
+            ("breaker_half_open", self.breaker_half_open),
+            ("breaker_recovered", self.breaker_recovered),
+            ("still_quarantined", self.still_quarantined),
+            ("drain_requests", self.drain_requests),
+        ]
+        .map(|(k, v)| (k, v as f64));
+        let rates = [
+            ("elapsed_ms", self.elapsed.as_secs_f64() * 1e3),
+            ("throughput_rps", self.throughput_rps),
+            ("shed_rate", self.shed_rate),
+        ];
+        let seed = ("seed".to_string(), JsonValue::String(self.seed.to_string()));
+        let numbers =
+            counts.into_iter().chain(rates).map(|(k, v)| (k.to_string(), JsonValue::Number(v)));
+        JsonValue::Object(std::iter::once(seed).chain(numbers).collect())
     }
 }
 
@@ -453,21 +435,21 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             "panic escaped expert isolation: {} contained worker panics, {} internal errors\n{}",
             stats.panics,
             report.internal_errors,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if tally.unresolved > 0 {
         return Err(format!(
             "{} requests never terminated within deadline+ε\n{}",
             tally.unresolved,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if report.deadline_violations > 0 {
         return Err(format!(
             "{} requests resolved after deadline+ε\n{}",
             report.deadline_violations,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if report.max_queue_depth > cfg.queue_capacity as u64 {
@@ -475,14 +457,14 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             "queue depth {} exceeded capacity {}\n{}",
             report.max_queue_depth,
             cfg.queue_capacity,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if report.engine_errors > 0 {
         return Err(format!(
             "{} non-retryable engine errors on valid requests\n{}",
             report.engine_errors,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if report.breaker_trips == 0
@@ -494,14 +476,14 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             report.breaker_trips,
             report.breaker_half_open,
             report.breaker_recovered,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     if report.still_quarantined > 0 {
         return Err(format!(
             "{} experts still quarantined after recovery drain\n{}",
             report.still_quarantined,
-            report.to_json()
+            report.to_json().render()
         ));
     }
     Ok(report)
@@ -525,5 +507,9 @@ mod tests {
         assert!(report.breaker_recovered >= 1);
         assert_eq!(report.still_quarantined, 0);
         assert_eq!(report.deadline_violations, 0);
+
+        let json = milo_obs::json::parse(&report.to_json().render()).expect("report JSON parses");
+        assert_eq!(json.get("seed").and_then(|s| s.as_str()), Some("7"));
+        assert_eq!(json.get("ok").and_then(|n| n.as_number()), Some(report.ok as f64));
     }
 }

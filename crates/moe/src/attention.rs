@@ -124,11 +124,14 @@ pub fn attend_step(q: &[f32], keys: &[f32], values: &[f32], n_heads: usize, out:
 /// the synthetic models have no trained norm parameters).
 pub fn rms_norm(x: &Matrix) -> Matrix {
     let d = x.cols();
-    Matrix::from_fn(x.rows(), d, |r, c| {
-        let row = x.row(r);
+    let mut y = x.clone();
+    for r in 0..y.rows() {
+        let row = y.row_mut(r);
         let ms: f32 = row.iter().map(|v| v * v).sum::<f32>() / d as f32;
-        x[(r, c)] / (ms + 1e-6).sqrt()
-    })
+        let rms = (ms + 1e-6).sqrt();
+        row.iter_mut().for_each(|v| *v /= rms);
+    }
+    y
 }
 
 #[cfg(test)]

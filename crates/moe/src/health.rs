@@ -36,6 +36,7 @@
 //! (sticky quarantine, the pre-breaker behaviour); serving layers opt
 //! into recovery with [`HealthTracker::with_cooldown`].
 
+use milo_obs::json::JsonValue;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,9 +142,9 @@ fn breaker_event(layer: usize, expert: usize, state: &str) {
     milo_obs::trace::push_instant(
         "moe.breaker",
         &[
-            ("layer", milo_obs::trace::ArgValue::Num(layer as f64)),
-            ("expert", milo_obs::trace::ArgValue::Num(expert as f64)),
-            ("state", milo_obs::trace::ArgValue::Str(state.to_string())),
+            ("layer", JsonValue::Number(layer as f64)),
+            ("expert", JsonValue::Number(expert as f64)),
+            ("state", JsonValue::String(state.to_string())),
         ],
     );
 }
@@ -210,9 +211,9 @@ impl HealthTracker {
                 milo_obs::trace::push_instant(
                     "moe.quarantine",
                     &[
-                        ("layer", milo_obs::trace::ArgValue::Num(layer as f64)),
-                        ("expert", milo_obs::trace::ArgValue::Num(expert as f64)),
-                        ("reason", milo_obs::trace::ArgValue::Str(reason)),
+                        ("layer", JsonValue::Number(layer as f64)),
+                        ("expert", JsonValue::Number(expert as f64)),
+                        ("reason", JsonValue::String(reason)),
                     ],
                 );
             }

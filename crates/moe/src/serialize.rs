@@ -5,11 +5,11 @@
 //!
 //! A `MOEM` artifact is an [`ArtifactFormat`] container (see
 //! [`milo_tensor::io`]): a model header (config + embeddings + output
-//! head), the layer count, then one record per transformer layer. Since
-//! version 2 the header and every layer are checksummed sections, so
-//! corruption or truncation surfaces as a typed
+//! head), the layer count, then one record per transformer layer. The
+//! header and every layer are checksummed sections, so corruption or
+//! truncation surfaces as a typed
 //! [`CorruptSection`](milo_tensor::io::CorruptSection) error naming the
-//! damaged section; version-1 artifacts (no checksums) are still read.
+//! damaged section.
 
 use crate::attention::Attention;
 use crate::config::MoeConfig;
@@ -19,7 +19,7 @@ use crate::router::Router;
 use milo_tensor::io::{
     invalid, read_f32, read_f32_vec, read_matrix, read_string, read_u32, read_u64, write_f32,
     write_f32_slice, write_matrix, write_string, write_u32, write_u64, ArtifactFormat,
-    IntegrityReport, LEGACY_VERSION, VERSION,
+    IntegrityReport,
 };
 use std::io::{self, Read, Write};
 
@@ -109,8 +109,8 @@ fn read_header(r: &mut impl Read) -> io::Result<(MoeConfig, milo_tensor::Matrix,
     Ok((config, embed, head))
 }
 
-/// Writes one transformer layer's payload (the version-1 layer layout,
-/// which version 2 wraps in a checksummed section).
+/// Writes one transformer layer's payload (the container frames it in a
+/// checksummed section).
 fn write_layer(w: &mut impl Write, layer: &TransformerLayer) -> io::Result<()> {
     for m in [&layer.attn.wq, &layer.attn.wk, &layer.attn.wv, &layer.attn.wo] {
         write_matrix(w, m)?;
@@ -181,42 +181,26 @@ fn read_layer(r: &mut impl Read) -> io::Result<TransformerLayer> {
     Ok(TransformerLayer { attn, ffn })
 }
 
-/// Writes an [`MoeModel`] in `version`.
-fn write_version(w: &mut impl Write, model: &MoeModel, version: u32) -> io::Result<()> {
-    let mut header = Vec::new();
-    write_header(&mut header, model)?;
-    FORMAT.write(w, version, &header, &model.layers, write_layer)
-}
-
-/// Writes an [`MoeModel`] to a binary stream (current format: version 2,
-/// checksummed sections).
+/// Writes an [`MoeModel`] to a binary stream: the header and every layer
+/// in its own checksummed section.
 ///
 /// # Errors
 ///
 /// Propagates IO failures.
 pub fn write_model(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
-    write_version(w, model, VERSION)
+    let mut header = Vec::new();
+    write_header(&mut header, model)?;
+    FORMAT.write(w, &header, &model.layers, write_layer)
 }
 
-/// Writes an [`MoeModel`] in the legacy version-1 layout (no checksums).
-/// Kept for compatibility tests; new code should use [`write_model`].
+/// Reads an [`MoeModel`] from a binary stream.
 ///
 /// # Errors
 ///
-/// Propagates IO failures.
-pub fn write_model_v1(w: &mut impl Write, model: &MoeModel) -> io::Result<()> {
-    write_version(w, model, LEGACY_VERSION)
-}
-
-/// Reads an [`MoeModel`] from a binary stream (versions 1 and 2).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for malformed input or unsupported versions.
-/// For version-2 artifacts a checksum failure, truncation or malformed
-/// section surfaces as a typed
-/// [`CorruptSection`](milo_tensor::io::CorruptSection) naming the
-/// damaged section.
+/// Returns `InvalidData` for malformed input or unsupported versions. A
+/// checksum failure, truncation or malformed section surfaces as a typed
+/// [`CorruptSection`](milo_tensor::io::CorruptSection) naming the damaged
+/// section.
 pub fn read_model(r: &mut impl Read) -> io::Result<MoeModel> {
     let ((config, embed, head), layers) =
         FORMAT.read(r, &mut |mut r| read_header(&mut r), &mut |mut r| read_layer(&mut r))?;
@@ -225,6 +209,7 @@ pub fn read_model(r: &mut impl Read) -> io::Result<MoeModel> {
 
 /// Walks a model stream verifying every section, decoding one at a time,
 /// and reports per-section integrity (see [`ArtifactFormat::verify`]).
+/// The report is ok exactly when [`read_model`] succeeds.
 ///
 /// # Errors
 ///
@@ -282,12 +267,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_artifacts_still_read() {
+    fn version_1_streams_are_refused() {
+        // The pre-checksum layout: magic, version 1, unframed header,
+        // count, unframed layers.
         let model = MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 9);
-        let mut v1 = Vec::new();
-        write_model_v1(&mut v1, &model).unwrap();
-        assert_eq!(v1[4], LEGACY_VERSION as u8);
-        assert_eq!(read_model(&mut Cursor::new(v1)).unwrap(), model);
+        let mut v1 = b"MOEM".to_vec();
+        write_u32(&mut v1, 1).unwrap();
+        write_header(&mut v1, &model).unwrap();
+        write_u64(&mut v1, model.layers.len() as u64).unwrap();
+        for layer in &model.layers {
+            write_layer(&mut v1, layer).unwrap();
+        }
+        let err = read_model(&mut Cursor::new(&v1[..])).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(verify_model_stream(&mut Cursor::new(&v1[..])).is_err());
     }
 
     #[test]

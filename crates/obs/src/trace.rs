@@ -9,17 +9,8 @@
 //! microseconds since the process telemetry epoch; export sorts by
 //! timestamp so consumers (and the validator) see a monotonic stream.
 
-use crate::json::{self, escape, JsonValue};
+use crate::json::{self, JsonValue};
 use std::sync::{Mutex, OnceLock};
-
-/// One argument attached to a trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
-    /// A numeric argument (counter series values chart in Chrome).
-    Num(f64),
-    /// A string argument.
-    Str(String),
-}
 
 /// One buffered trace event.
 #[derive(Debug, Clone)]
@@ -35,7 +26,7 @@ pub struct TraceEvent {
     /// Recording thread's stable id.
     pub tid: u64,
     /// Structured arguments.
-    pub args: Vec<(String, ArgValue)>,
+    pub args: Vec<(String, JsonValue)>,
 }
 
 fn buffer() -> &'static Mutex<Vec<TraceEvent>> {
@@ -61,7 +52,7 @@ pub fn push_complete(name: String, ts: f64, dur: f64) {
 
 /// Appends a structured instant event (e.g. an expert quarantine) with
 /// the given arguments. No-op below trace level.
-pub fn push_instant(name: &str, args: &[(&str, ArgValue)]) {
+pub fn push_instant(name: &str, args: &[(&str, JsonValue)]) {
     if !crate::tracing() {
         return;
     }
@@ -87,7 +78,7 @@ pub fn push_counter(name: &str, value: f64) {
         ts: crate::ts_micros(std::time::Instant::now()),
         dur: 0.0,
         tid: crate::thread_id(),
-        args: vec![("value".to_string(), ArgValue::Num(value))],
+        args: vec![("value".to_string(), JsonValue::Number(value))],
     });
 }
 
@@ -101,45 +92,27 @@ pub fn clear() {
     lock().clear();
 }
 
-fn render_event(e: &TraceEvent) -> String {
+fn event_json(e: &TraceEvent) -> JsonValue {
+    let field = |k: &str, v: JsonValue| (k.to_string(), v);
+    let text = |s: &str| JsonValue::String(s.to_string());
     let mut fields = vec![
-        format!("\"name\":\"{}\"", escape(&e.name)),
-        "\"cat\":\"milo\"".to_string(),
-        format!("\"ph\":\"{}\"", e.ph),
-        format!("\"ts\":{:.3}", e.ts),
-        "\"pid\":1".to_string(),
-        format!("\"tid\":{}", e.tid),
+        field("name", text(&e.name)),
+        field("cat", text("milo")),
+        field("ph", text(&e.ph.to_string())),
+        field("ts", JsonValue::Number(e.ts)),
     ];
     if e.ph == 'X' {
-        fields.insert(4, format!("\"dur\":{:.3}", e.dur));
+        fields.push(field("dur", JsonValue::Number(e.dur)));
     }
+    fields.push(field("pid", JsonValue::Number(1.0)));
+    fields.push(field("tid", JsonValue::Number(e.tid as f64)));
     if e.ph == 'i' {
-        fields.push("\"s\":\"t\"".to_string());
+        fields.push(field("s", text("t")));
     }
     if !e.args.is_empty() {
-        let args: Vec<String> = e
-            .args
-            .iter()
-            .map(|(k, v)| match v {
-                ArgValue::Num(n) => format!("\"{}\":{}", escape(k), fmt_num(*n)),
-                ArgValue::Str(s) => format!("\"{}\":\"{}\"", escape(k), escape(s)),
-            })
-            .collect();
-        fields.push(format!("\"args\":{{{}}}", args.join(",")));
+        fields.push(field("args", JsonValue::Object(e.args.clone())));
     }
-    format!("{{{}}}", fields.join(","))
-}
-
-fn fmt_num(n: f64) -> String {
-    if n.is_finite() {
-        if n == n.trunc() && n.abs() < 1e15 {
-            format!("{}", n as i64)
-        } else {
-            format!("{n}")
-        }
-    } else {
-        "null".to_string()
-    }
+    JsonValue::Object(fields)
 }
 
 /// Renders the whole buffer as Chrome trace-event JSON, sorted by
@@ -148,11 +121,18 @@ fn fmt_num(n: f64) -> String {
 pub fn export_chrome() -> String {
     let mut events = lock().clone();
     events.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-    let body: Vec<String> = events.iter().map(render_event).collect();
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"producer\":\"milo-obs\"}}}}\n",
-        body.join(",\n")
-    )
+    let doc = JsonValue::Object(vec![
+        ("traceEvents".to_string(), JsonValue::Array(events.iter().map(event_json).collect())),
+        ("displayTimeUnit".to_string(), JsonValue::String("ms".to_string())),
+        (
+            "otherData".to_string(),
+            JsonValue::Object(vec![(
+                "producer".to_string(),
+                JsonValue::String("milo-obs".to_string()),
+            )]),
+        ),
+    ]);
+    doc.render() + "\n"
 }
 
 /// Summary returned by [`validate_trace`].
@@ -252,8 +232,8 @@ mod tests {
         drop(crate::span(|| "stage.alpha".into()));
         drop(crate::span(|| "stage.beta{layer=0}".into()));
         push_instant("evt.quarantine", &[
-            ("layer", ArgValue::Num(0.0)),
-            ("reason", ArgValue::Str("non-finite \"output\"".into())),
+            ("layer", JsonValue::Number(0.0)),
+            ("reason", JsonValue::String("non-finite \"output\"".into())),
         ]);
         push_counter("series.eps", 0.125);
         let json = export_chrome();

@@ -1,12 +1,11 @@
-//! A bounded MPMC queue with closable semantics and targeted removal.
+//! A bounded MPMC queue with closable semantics and non-blocking removal.
 //!
 //! Built on `Mutex<VecDeque>` + `Condvar` — the same zero-dependency
 //! primitives as `milo_tensor::pool` — rather than a lock-free ring:
 //! the queue sits in front of forward passes that cost milliseconds, so
-//! lock contention is noise, while the mutex gives us the two operations
-//! a serving queue actually needs and a ring buffer makes hard:
-//! *rejection with an observed depth* and *removal of an arbitrary
-//! victim* for load shedding.
+//! lock contention is noise, while the mutex makes the two operations a
+//! serving queue needs trivial: *rejection with an observed depth* and
+//! *shedding from the front*.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -31,8 +30,8 @@ struct Inner<T> {
 ///   admission-control signal, not a place to wait.
 /// * [`pop`](Bounded::pop) blocks until an item arrives or the queue is
 ///   closed *and* drained.
-/// * [`remove_worst`](Bounded::remove_worst) removes the element that
-///   maximizes a caller-supplied score — the shedding primitive.
+/// * [`try_pop`](Bounded::try_pop) takes the front item without
+///   blocking — the shedding primitive.
 pub struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     cond: Condvar,
@@ -108,19 +107,10 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Removes and returns the queued element with the highest `score`
-    /// (ties broken towards the front of the queue), or `None` if
-    /// empty. This is the load-shedding primitive: the policy supplies
-    /// the score, the queue supplies atomicity.
-    pub fn remove_worst(&self, score: impl Fn(&T) -> u64) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
-        let idx = inner
-            .items
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| score(a).cmp(&score(b)).then(ib.cmp(ia)))
-            .map(|(i, _)| i)?;
-        inner.items.remove(idx)
+    /// Removes and returns the front (oldest) item without blocking, or
+    /// `None` if the queue is empty.
+    pub fn try_pop(&self) -> Option<T> {
+        self.inner.lock().unwrap().items.pop_front()
     }
 
     /// Closes the queue: future pushes fail, and [`pop`](Bounded::pop)
@@ -182,17 +172,18 @@ mod tests {
     }
 
     #[test]
-    fn remove_worst_takes_max_score_front_biased() {
+    fn try_pop_takes_the_front_without_blocking() {
         let q = Bounded::new(8);
-        for v in [5u64, 9, 9, 1] {
+        assert_eq!(q.try_pop(), None);
+        for v in [5u64, 9, 1] {
             q.try_push(v).unwrap();
         }
-        // Both 9s tie; the earlier-queued one is removed.
-        assert_eq!(q.remove_worst(|&v| v), Some(9));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(5));
+        assert_eq!(q.try_pop(), Some(5));
+        assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(9));
-        assert_eq!(q.pop(), Some(1));
+        q.close();
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub(crate) struct Inflight {
     pub(crate) tokens: Vec<u32>,
     pub(crate) mode: FaultMode,
     pub(crate) admitted: Instant,
-    pub(crate) deadline: Option<Instant>,
     pub(crate) cancel: CancelToken,
     /// `STATE_QUEUED` → `STATE_RUNNING` → `STATE_DONE`; the watchdog may
     /// jump `QUEUED` → `DONE` when it sheds or expires a queued request.
@@ -93,7 +92,6 @@ impl Inflight {
             tokens,
             mode,
             admitted: Instant::now(),
-            deadline,
             cancel,
             state: AtomicU8::new(STATE_QUEUED),
             slot: Mutex::new(None),
@@ -147,7 +145,7 @@ impl Inflight {
     }
 
     pub(crate) fn past_deadline(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
+        self.cancel.deadline().is_some_and(|d| now >= d)
     }
 
     fn wait(&self) -> Result<Response> {

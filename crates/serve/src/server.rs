@@ -467,10 +467,10 @@ fn watchdog_loop(shared: &Shared) {
         }
         // Workers are stalled past deadline: relieve pressure by
         // shedding one queued victim per stalled worker, oldest first
-        // (smaller id = admitted earlier = higher score): the oldest
-        // request is the most likely to miss its deadline anyway.
+        // (the queue front): the oldest request is the most likely to
+        // miss its deadline anyway.
         for _ in 0..stalled {
-            let Some(victim) = shared.queue.remove_worst(|e| u64::MAX - e.id) else {
+            let Some(victim) = shared.queue.try_pop() else {
                 break;
             };
             if victim.resolve_queued(Err(ServeError::Shed)) {

@@ -1,5 +1,6 @@
 //! Minimal little-endian binary serialization primitives, CRC-framed
-//! sections, and the one artifact container, [`ArtifactFormat`].
+//! sections, and the one artifact container, [`ArtifactFormat`], whose
+//! payloads all sit in such sections.
 //!
 //! The compressed-model formats in `milo-quant`/`milo-core`/`milo-moe`
 //! are built from these; keeping them here avoids a serde dependency for
@@ -188,11 +189,6 @@ pub struct SectionReport {
 /// Whole-artifact integrity report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntegrityReport {
-    /// Format version found in the artifact header.
-    pub version: u32,
-    /// Whether the format version carries checksums at all (v1 legacy
-    /// artifacts do not; they can be read but not verified).
-    pub checksummed: bool,
     /// Per-section status, in stream order. Scanning stops early only on
     /// faults that make the framing unfollowable (truncation).
     pub sections: Vec<SectionReport>,
@@ -202,7 +198,8 @@ pub struct IntegrityReport {
 }
 
 impl IntegrityReport {
-    /// Whether every section verified and no trailing bytes were found.
+    /// Whether every section verified and no trailing bytes were found:
+    /// exactly when [`ArtifactFormat::read`] accepts the stream.
     pub fn is_ok(&self) -> bool {
         !self.trailing_data && self.sections.iter().all(|s| s.fault.is_none())
     }
@@ -213,11 +210,9 @@ impl IntegrityReport {
     }
 }
 
-/// Artifact format version written today: CRC-framed sections.
+/// The artifact format version, the only one written or read:
+/// CRC-framed sections.
 pub const VERSION: u32 = 2;
-/// The pre-checksum artifact layout: the same payloads, unframed. Still
-/// read, and written by the legacy writers.
-pub const LEGACY_VERSION: u32 = 1;
 
 /// The container shared by the model artifacts (`MILO` compressed
 /// models, `MOEM` reference models); each format supplies only its
@@ -227,10 +222,10 @@ pub const LEGACY_VERSION: u32 = 1;
 /// magic[4]  version:u32  [header]  count:u64  record × count
 /// ```
 ///
-/// In [`VERSION`] the header (for a format that has one) and every record
-/// are sections framed by [`write_section`]; each payload must decode to
-/// its last byte, and the stream must end after the last record. In
-/// [`LEGACY_VERSION`] the same payloads follow each other unframed.
+/// The header (for a format that has one) and every record are sections
+/// framed by [`write_section`]; each payload must decode to its last
+/// byte, and the stream must end after the last record. The version is
+/// always [`VERSION`].
 ///
 /// Sections are named `model header` and `layer i`, or `layer i (label)`
 /// when [`label`](Self::label) finds one in the payload.
@@ -247,72 +242,61 @@ pub struct ArtifactFormat {
     pub label: fn(&[u8]) -> Option<String>,
 }
 
-/// A payload decoder, reading from the stream (v1) or from the section's
-/// bytes (v2).
+/// A payload decoder, reading from one section's verified bytes.
 pub type Decode<'a, T> = &'a mut dyn FnMut(&mut dyn Read) -> io::Result<T>;
 
 impl ArtifactFormat {
-    /// Writes `records` in `version`, each encoded by `encode`, after the
-    /// `header` payload (ignored by a format without a header).
+    /// Writes `records`, each encoded by `encode` into its own section,
+    /// after the `header` section (omitted by a format without a header).
     ///
     /// # Errors
     ///
-    /// `InvalidData` for an unknown version; propagates IO failures.
+    /// Propagates IO and encoding failures.
     pub fn write<W: Write, T>(
         &self,
         w: &mut W,
-        version: u32,
         header: &[u8],
         records: &[T],
         mut encode: impl FnMut(&mut Vec<u8>, &T) -> io::Result<()>,
     ) -> io::Result<()> {
         write_tag(w, self.magic)?;
-        write_u32(w, self.supported(version)?)?;
-        let frame = |w: &mut W, payload: &[u8]| match version {
-            VERSION => write_section(w, payload),
-            _ => w.write_all(payload),
-        };
+        write_u32(w, VERSION)?;
         if self.header {
-            frame(w, header)?;
+            write_section(w, header)?;
         }
         write_u64(w, records.len() as u64)?;
         let mut payload = Vec::new();
         for rec in records {
             payload.clear();
             encode(&mut payload, rec)?;
-            frame(w, &payload)?;
+            write_section(w, &payload)?;
         }
         Ok(())
     }
 
-    /// Reads an artifact of either version: the header decoded by
-    /// `header` (from no bytes, for a format without one), then every
-    /// record decoded by `record`.
+    /// Reads an artifact: the header decoded by `header` (from no bytes,
+    /// for a format without one), then every record decoded by `record`.
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a foreign magic, an unknown version, an
-    /// implausible record count or trailing bytes. In [`VERSION`] a
-    /// damaged, truncated or malformed section is a typed
-    /// [`CorruptSection`] naming it.
+    /// `InvalidData` for a foreign magic, any version but [`VERSION`], an
+    /// implausible record count or trailing bytes. A damaged, truncated
+    /// or malformed section is a typed [`CorruptSection`] naming it.
     pub fn read<H, T>(
         &self,
         r: &mut impl Read,
         header: Decode<'_, H>,
         record: Decode<'_, T>,
     ) -> io::Result<(H, Vec<T>)> {
-        let framed = self.read_version(r)? == VERSION;
-        let head = match (self.header, framed) {
-            (false, _) => header(&mut io::empty())?,
-            (true, false) => header(r)?,
-            (true, true) => self.checked(r, None, header)?,
-        };
+        self.read_version(r)?;
+        let head =
+            if self.header { self.checked(r, None, header)? } else { header(&mut io::empty())? };
         let n = self.read_count(r)?;
         let mut records = Vec::with_capacity(n.min(1 << 12));
         for i in 0..n {
-            records.push(if framed { self.checked(r, Some(i), record)? } else { record(r)? });
+            records.push(self.checked(r, Some(i), record)?);
         }
-        if framed && !at_eof(r)? {
+        if !at_eof(r)? {
             return Err(invalid("trailing data after the final record (corrupt count?)"));
         }
         Ok((head, records))
@@ -321,27 +305,23 @@ impl ArtifactFormat {
     /// Walks an artifact verifying every section, decoding one payload at
     /// a time with the same decoders as [`read`](Self::read). Keeps going
     /// past damaged payloads (the framing still holds) and stops only
-    /// where the stream can no longer be followed (truncation). A
-    /// [`LEGACY_VERSION`] stream has no checksums; its report says so and
-    /// lists no sections.
+    /// where the stream can no longer be followed (truncation). The
+    /// report [`is_ok`](IntegrityReport::is_ok) exactly when `read`
+    /// accepts the stream.
     ///
     /// # Errors
     ///
     /// `InvalidData` only for a stream that is not this artifact at all:
-    /// foreign magic, unknown version or implausible record count.
+    /// foreign magic, any version but [`VERSION`] or implausible record
+    /// count.
     pub fn verify<H, T>(
         &self,
         r: &mut impl Read,
         header: Decode<'_, H>,
         record: Decode<'_, T>,
     ) -> io::Result<IntegrityReport> {
-        let version = self.read_version(r)?;
-        let checksummed = version == VERSION;
-        let mut report =
-            IntegrityReport { version, checksummed, sections: Vec::new(), trailing_data: false };
-        if !checksummed {
-            return Ok(report);
-        }
+        self.read_version(r)?;
+        let mut report = IntegrityReport { sections: Vec::new(), trailing_data: false };
         match self.scan(r, header, record, &mut report.sections) {
             Ok(eof) => report.trailing_data = !eof,
             Err(e) => match corrupt_section_info(&e) {
@@ -356,7 +336,7 @@ impl ArtifactFormat {
         Ok(report)
     }
 
-    /// Reports every section of a v2 stream (past the version) into
+    /// Reports every section of a stream (past the version) into
     /// `sections`, then whether the stream ends there. Errors where the
     /// stream can no longer be followed.
     fn scan<H, T>(
@@ -379,17 +359,15 @@ impl ArtifactFormat {
         at_eof(r)
     }
 
-    fn supported(&self, version: u32) -> io::Result<u32> {
-        if version == VERSION || version == LEGACY_VERSION {
-            return Ok(version);
-        }
-        let magic = String::from_utf8_lossy(self.magic);
-        Err(invalid(format!("unsupported {magic} format version {version}")))
-    }
-
-    fn read_version(&self, r: &mut impl Read) -> io::Result<u32> {
+    fn read_version(&self, r: &mut impl Read) -> io::Result<()> {
         expect_tag(r, self.magic)?;
-        self.supported(read_u32(r)?)
+        match read_u32(r)? {
+            VERSION => Ok(()),
+            v => {
+                let magic = String::from_utf8_lossy(self.magic);
+                Err(invalid(format!("unsupported {magic} format version {v}")))
+            }
+        }
     }
 
     /// Reads the record count; a stream cut short there is a truncated
@@ -696,5 +674,34 @@ mod tests {
         let err = read_section(&mut Cursor::new(buf), "s").unwrap_err();
         let info = corrupt_section_info(&err).unwrap();
         assert!(matches!(info.fault, SectionFault::OversizedLength(_)));
+    }
+
+    #[test]
+    fn verify_is_ok_exactly_when_read_succeeds() {
+        let format =
+            ArtifactFormat { magic: b"TEST", header: true, max_records: 16, label: |_| None };
+        let records = [b"first".to_vec(), b"second record".to_vec()];
+        let mut header = Vec::new();
+        write_bytes(&mut header, b"head").unwrap();
+        let mut clean = Vec::new();
+        format.write(&mut clean, &header, &records, |w, r| write_bytes(w, r)).unwrap();
+        let verdicts = |bytes: &[u8]| {
+            let mut decode = |mut r: &mut dyn Read| read_bytes(&mut r);
+            let read = format.read(&mut Cursor::new(bytes), &mut decode.clone(), &mut decode);
+            let report = format.verify(&mut Cursor::new(bytes), &mut decode.clone(), &mut decode);
+            (read.is_ok(), report.is_ok_and(|report| report.is_ok()))
+        };
+        assert_eq!(verdicts(&clean), (true, true));
+        let mut trailing = clean.clone();
+        trailing.push(0);
+        let mut flipped = clean.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        for (what, bad) in [
+            ("trailing byte", &trailing[..]),
+            ("flipped byte", &flipped[..]),
+            ("cut", &clean[..20]),
+        ] {
+            assert_eq!(verdicts(bad), (false, false), "{what}");
+        }
     }
 }

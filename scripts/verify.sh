@@ -14,14 +14,15 @@
 #    the smoke directory, the harness's own `gemm.json` must parse too.
 # 4. Fault-injection smoke: runs the corruption fuzz + recovery-path
 #    drills under a fixed MILO_FAULT_SEED, and exercises `milo-cli check`
-#    on a clean and a deliberately corrupted MOEM artifact (the corrupt
-#    one must fail with a nonzero exit, not a panic).
+#    on a clean MOEM artifact, a truncated copy and a copy with one byte
+#    appended (both damaged ones must fail with a nonzero exit, not a
+#    panic: `check` fails exactly where loading would).
 # 5. Telemetry smoke: quantizes and serves a tiny model with
 #    MILO_TELEMETRY=trace + --trace-out, then validates both Chrome
 #    traces with `milo-cli trace-check` (well-formed JSON, monotonic
 #    timestamps, at least one span per instrumented stage). The
 #    quantized MILO artifact is drilled like step 4's MOEM one:
-#    `check --strict` passes on it and fails on a truncated copy. A
+#    `check` passes on it and fails on a truncated copy. A
 #    second, one-layer model at scale 0.5 (d_model 128, so every
 #    projection tiles at 128×128) is served the same way and its trace
 #    must contain `pack.gemm.fused`: the fused W3A16 kernel runs end to
@@ -136,11 +137,12 @@ MILO_FAULT_SEED=0x4d694c6f cargo test -q --offline -p milo-faults --test corrupt
 MILO_FAULT_SEED=0x4d694c6f cargo test -q --offline --test fault_injection >/dev/null
 echo "ok: seeded fault-injection suites passed (MILO_FAULT_SEED=0x4d694c6f)"
 
-# The integrity checker end to end: a clean artifact verifies, a
-# corrupted copy is rejected with a nonzero exit and no panic.
+# The integrity checker end to end: a clean artifact verifies; a
+# truncated copy and a copy with trailing bytes are rejected with a
+# nonzero exit and no panic, as the loader rejects them.
 cli=target/release/milo-cli
 "$cli" synth --model mixtral --scale 0.1 --layers 1 --out "$smoke_dir/ref.moem" >/dev/null
-"$cli" check --artifact "$smoke_dir/ref.moem" --strict >/dev/null
+"$cli" check --artifact "$smoke_dir/ref.moem" >/dev/null
 # Chop the last 32 bytes off (truncating the final layer section) —
 # pure-shell corruption so this step needs no python3.
 size=$(wc -c < "$smoke_dir/ref.moem")
@@ -149,7 +151,14 @@ if "$cli" check --artifact "$smoke_dir/bad.moem" >/dev/null 2>&1; then
     echo "ERROR: milo-cli check accepted a corrupted artifact"
     exit 1
 fi
-echo "ok: milo-cli check verifies clean artifacts and rejects corrupted ones"
+# Append one byte: every section still verifies, but the loader refuses
+# the trailing data, so check must too.
+{ cat "$smoke_dir/ref.moem"; printf 'x'; } > "$smoke_dir/trailing.moem"
+if "$cli" check --artifact "$smoke_dir/trailing.moem" >/dev/null 2>&1; then
+    echo "ERROR: milo-cli check accepted an artifact with trailing data"
+    exit 1
+fi
+echo "ok: milo-cli check verifies clean artifacts and rejects truncated and trailing ones"
 
 # --- 5. Telemetry smoke ----------------------------------------------------
 # Quantize then serve a tiny model at full trace level, exporting Chrome
@@ -161,7 +170,7 @@ echo "ok: milo-cli check verifies clean artifacts and rejects corrupted ones"
 MILO_TELEMETRY=trace "$cli" quantize --model "$smoke_dir/tele.moem" \
     --method milo --iters 4 --sparse-rank 2 --out "$smoke_dir/tele.milo" \
     --trace-out "$smoke_dir/quantize_trace.json" >/dev/null
-"$cli" check --artifact "$smoke_dir/tele.milo" --strict >/dev/null
+"$cli" check --artifact "$smoke_dir/tele.milo" >/dev/null
 size=$(wc -c < "$smoke_dir/tele.milo")
 head -c "$((size - 32))" "$smoke_dir/tele.milo" > "$smoke_dir/bad.milo"
 if "$cli" check --artifact "$smoke_dir/bad.milo" >/dev/null 2>&1; then

@@ -1,16 +1,12 @@
-//! The on-disk artifact container: byte-level stability of both formats
-//! and both versions, and rejection of bytes smuggled inside a
-//! checksummed section.
+//! The on-disk artifact container: byte-level stability of both formats,
+//! and rejection of bytes smuggled inside a checksummed section.
 
-use milo_core::serialize::{
-    read_compressed_model, verify_compressed_stream, write_compressed_model,
-    write_compressed_model_v1,
-};
+use milo_core::serialize::{read_compressed_model, verify_compressed_stream, write_compressed_model};
 use milo_core::{
     CompressedLayer, CompressedModel, Compensator, LayerKind, LayerMeta, LayerRecord,
     LowRankCompensator,
 };
-use milo_moe::serialize::{read_model, verify_model_stream, write_model, write_model_v1};
+use milo_moe::serialize::{read_model, verify_model_stream, write_model};
 use milo_moe::{MoeConfig, MoeModel};
 use milo_quant::{rtn_quantize, QuantConfig};
 use milo_tensor::io::{
@@ -68,12 +64,10 @@ fn artifact_bytes_are_pinned() {
     };
     let got = [
         digest(&|w| write_compressed_model(w, &milo)),
-        digest(&|w| write_compressed_model_v1(w, &milo)),
         digest(&|w| write_model(w, &moem)),
-        digest(&|w| write_model_v1(w, &moem)),
     ];
-    let pinned = ["6a3727046207226f", "9e2f25f76022dec2", "401f1cb00db9cf60", "b6e191e8abbcec05"];
-    assert_eq!(got, pinned, "MILO v2, MILO v1, MOEM v2, MOEM v1");
+    let pinned = ["6a3727046207226f", "401f1cb00db9cf60"];
+    assert_eq!(got, pinned, "MILO, MOEM");
 }
 
 /// Re-frames a v2 stream with `junk` appended inside the header section
