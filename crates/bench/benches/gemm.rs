@@ -11,6 +11,7 @@
 //! path with `MILO_BENCH_BASELINE` (empty string disables).
 
 use milo_eval::bench::{black_box, BenchResult, Config, Harness};
+use milo_obs::json::JsonValue;
 use milo_pack::gemm::reference_gemm;
 use milo_pack::{GemmKernel, PackedMatrix, TileShape};
 use milo_quant::{rtn_quantize, QuantConfig};
@@ -130,7 +131,7 @@ fn median_of<'a>(results: &'a [BenchResult], name: &str) -> Option<f64> {
 
 /// Writes the recorded baseline JSON: harness rows plus host metadata and
 /// the two headline speedups later PRs are measured against.
-fn write_baseline(results: &[BenchResult], harness_json: &str) {
+fn write_baseline(results: &[BenchResult], harness_json: JsonValue) {
     let path = match std::env::var("MILO_BENCH_BASELINE") {
         Ok(p) if p.is_empty() => return,
         Ok(p) => std::path::PathBuf::from(p),
@@ -145,22 +146,39 @@ fn write_baseline(results: &[BenchResult], harness_json: &str) {
             _ => 0.0,
         }
     };
-    let t4_speedup =
-        speedup("fused_256x256/bs16/threads1", "fused_256x256/bs16/threads4");
-    let fix_speedup = speedup(
-        "fused_256x256/bs1/legacy_padded_rows",
-        "fused_256x256/bs1/threads1_fixed",
-    );
-    let json = format!(
-        "{{\"baseline\":{harness_json},\
-         \"host_threads\":{host_threads},\
-         \"quick\":{quick},\
-         \"shape\":{{\"k\":256,\"n\":256}},\
-         \"derived\":{{\
-           \"speedup_bs16_threads4_vs_threads1\":{t4_speedup:.3},\
-           \"speedup_bs1_padded_row_fix\":{fix_speedup:.3}}}}}",
-        quick = Config::quick_mode(),
-    );
+    let field = |k: &str, v: JsonValue| (k.to_string(), v);
+    let json = JsonValue::Object(vec![
+        field("baseline", harness_json),
+        field("host_threads", JsonValue::Number(host_threads as f64)),
+        field("quick", JsonValue::Bool(Config::quick_mode())),
+        field(
+            "shape",
+            JsonValue::Object(vec![
+                field("k", JsonValue::Number(256.0)),
+                field("n", JsonValue::Number(256.0)),
+            ]),
+        ),
+        field(
+            "derived",
+            JsonValue::Object(vec![
+                field(
+                    "speedup_bs16_threads4_vs_threads1",
+                    JsonValue::Number(speedup(
+                        "fused_256x256/bs16/threads1",
+                        "fused_256x256/bs16/threads4",
+                    )),
+                ),
+                field(
+                    "speedup_bs1_padded_row_fix",
+                    JsonValue::Number(speedup(
+                        "fused_256x256/bs1/legacy_padded_rows",
+                        "fused_256x256/bs1/threads1_fixed",
+                    )),
+                ),
+            ]),
+        ),
+    ])
+    .render();
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -177,5 +195,5 @@ fn main() {
     bench_threads_baseline(&mut base);
     let json = base.to_json();
     let results = base.finish();
-    write_baseline(&results, &json);
+    write_baseline(&results, json);
 }

@@ -216,14 +216,13 @@ impl Harness {
         self.results.push(result);
     }
 
-    /// Serializes all results as a JSON document.
-    pub fn to_json(&self) -> String {
+    /// All results as one JSON document (`.render()` for the text).
+    pub fn to_json(&self) -> JsonValue {
         let rows = self.results.iter().map(BenchResult::json).collect();
         JsonValue::Object(vec![
             ("suite".into(), JsonValue::String(self.suite.clone())),
             ("results".into(), JsonValue::Array(rows)),
         ])
-        .render()
     }
 
     /// Finishes the suite: writes `<suite>.json` if `MILO_BENCH_JSON`
@@ -231,7 +230,7 @@ impl Harness {
     pub fn finish(self) -> Vec<BenchResult> {
         if let Ok(dir) = std::env::var("MILO_BENCH_JSON") {
             let path = std::path::Path::new(&dir).join(format!("{}.json", self.suite));
-            if let Err(e) = std::fs::write(&path, self.to_json()) {
+            if let Err(e) = std::fs::write(&path, self.to_json().render()) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
                 println!("wrote {}", path.display());
@@ -310,7 +309,7 @@ mod tests {
     fn json_round_trips_field_names() {
         let mut h = Harness::with_config("suite-x", quick());
         h.bench_function("op", |b| b.iter(|| 42u32));
-        let json = h.to_json();
+        let json = h.to_json().render();
         for key in ["\"suite\":\"suite-x\"", "\"name\":\"op\"", "median_ns", "iters_per_sample"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -320,7 +319,7 @@ mod tests {
     fn json_escapes_suite_and_bench_names() {
         let mut h = Harness::with_config("s\"uite", quick());
         h.bench_once("a\"b\\c", || ());
-        let doc = milo_obs::json::parse(&h.to_json()).expect("harness JSON parses");
+        let doc = milo_obs::json::parse(&h.to_json().render()).expect("harness JSON parses");
         assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("s\"uite"));
         let row = &doc.get("results").and_then(JsonValue::as_array).expect("results")[0];
         assert_eq!(row.get("name").and_then(JsonValue::as_str), Some("a\"b\\c"));

@@ -25,7 +25,7 @@
 //!   degrade recovery paths.
 //! * **Latency faults** ([`slow_expert`], [`stall_expert`]) — experts
 //!   that sleep before computing, from "slow" to "stalled past any
-//!   deadline", exercising deadlines, watchdog cancellation, and load
+//!   deadline", exercising deadlines, cooperative cancellation, and load
 //!   shedding in `milo-serve`.
 //! * **Chaos soak** ([`soak`]) — thousands of seeded requests through a
 //!   real packed-engine server under kill/poison/slow faults and burst
@@ -176,8 +176,9 @@ pub fn slow_expert(layer: usize, expert: usize, millis: u64) -> InjectedFault {
 }
 
 /// A latency fault long enough to stall any worker past a typical
-/// request deadline — the "stalled worker" chaos scenario. The watchdog
-/// must cancel the request and shed queued load; nothing may hang.
+/// request deadline — the "stalled worker" chaos scenario. The request
+/// must unwind at its deadline and the watchdog must shed queued load;
+/// nothing may hang.
 pub fn stall_expert(layer: usize, expert: usize) -> InjectedFault {
     slow_expert(layer, expert, 60_000)
 }

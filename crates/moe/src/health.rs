@@ -354,7 +354,7 @@ impl HealthTracker {
 }
 
 /// A cooperative cancellation token carried by a request: an explicit
-/// cancel flag (set by a watchdog or a client) plus an optional hard
+/// cancel flag (set by a client) plus an optional hard
 /// deadline. The resilient forward paths check it at every layer
 /// boundary, so a cancelled or expired request unwinds with a typed
 /// error within one layer's compute time instead of running to
@@ -381,15 +381,10 @@ impl CancelToken {
         self.deadline
     }
 
-    /// Sets the cancel flag. Clones share the flag, so a watchdog can
+    /// Sets the cancel flag. Clones share the flag, so a caller can
     /// cancel a request it only holds a clone of.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the explicit flag was set (deadline not consulted).
-    pub fn cancel_requested(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
     }
 
     /// Whether the request should stop: explicitly cancelled or past its
@@ -474,8 +469,8 @@ impl ResilienceContext {
 
     /// Sleeps up to `delay`, waking early (in ≤1 ms) if the request is
     /// cancelled. Injected [`FaultKind::Slow`] delays run through this so
-    /// a stalled expert releases its worker promptly once the watchdog
-    /// fires.
+    /// a stalled expert releases its worker promptly once the deadline
+    /// passes.
     pub fn sleep_interruptible(&self, delay: Duration) {
         const SLICE: Duration = Duration::from_millis(1);
         let until = Instant::now() + delay;
@@ -613,7 +608,6 @@ mod tests {
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(expired.is_cancelled());
         assert_eq!(expired.remaining(), Some(Duration::ZERO));
-        assert!(!expired.cancel_requested(), "deadline expiry is not an explicit cancel");
 
         let live = CancelToken::with_deadline(Instant::now() + Duration::from_secs(60));
         assert!(!live.is_cancelled());

@@ -95,7 +95,7 @@ pub enum MoeError {
         reason: String,
     },
     /// The request's [`CancelToken`] fired (deadline
-    /// passed or a watchdog cancelled it); the forward pass unwound at a
+    /// passed or its caller cancelled it); the forward pass unwound at a
     /// layer boundary.
     Cancelled {
         /// The layer boundary at which the cancellation was observed

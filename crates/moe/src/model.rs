@@ -356,7 +356,7 @@ impl<P: Linear> MoeModel<P> {
 
         for (li, (layer, (keys, values))) in self.layers.iter().zip(&mut state.kv).enumerate() {
             // Cooperative cancellation: a request whose deadline passed
-            // (or that a watchdog cancelled) unwinds at the next layer
+            // (or that its caller cancelled) unwinds at the next layer
             // boundary instead of running to completion.
             if ctx.is_cancelled() {
                 return Err(MoeError::Cancelled { layer: li });

@@ -44,10 +44,12 @@ pub struct PackedMatrix {
     main: Vec<u32>,
     /// One word per 32-weight group, same order.
     tail: Vec<u32>,
-    /// Per-quant-group scales (grid step for symmetric schemes).
-    scales: Vec<f32>,
-    /// Per-quant-group zero-points (empty for symmetric schemes).
-    zeros: Vec<f32>,
+    /// Per-quant-group FP16 scale (grid step for symmetric schemes), as
+    /// the strip decoder multiplies by it.
+    scales: Vec<F16>,
+    /// Per-quant-group FP16 offset `−zero·scale` (empty for symmetric
+    /// schemes).
+    offsets: Vec<F16>,
     cfg: QuantConfig,
 }
 
@@ -95,15 +97,12 @@ impl PackedMatrix {
                 tail.push(words[2]);
             }
         }
-        Ok(Self {
-            rows,
-            cols,
-            main,
-            tail,
-            scales: q.scales().to_vec(),
-            zeros: q.zeros().to_vec(),
-            cfg: *cfg,
-        })
+        // The FP16 values the strip decoder multiplies and adds, rounded
+        // once at pack time (symmetric schemes have no zeros, hence no
+        // offsets).
+        let scales = q.scales().iter().map(|&s| F16::from_f32(s)).collect();
+        let offsets = q.scales().iter().zip(q.zeros()).map(|(&s, &z)| F16::from_f32(-z * s));
+        Ok(Self { rows, cols, main, tail, scales, offsets: offsets.collect(), cfg: *cfg })
     }
 
     /// Number of rows (output features).
@@ -152,21 +151,18 @@ impl PackedMatrix {
         // Quant groups are >= 32 and multiples of 32, so one scale covers
         // the whole packing group.
         let qg = r * self.cfg.groups_per_row(self.cols) + (g * GROUP) / self.group_size();
-        let scale = self.scales[qg];
+        let s = self.scales[qg];
 
         let logical = [words[0], words[1], words[2], virtual_word(&words)];
         match self.scheme() {
             Scheme::Symmetric => {
-                let step = F16::from_f32(scale);
                 for (w, &word) in logical.iter().enumerate() {
-                    let vals = dequant_word_sym(word, step);
+                    let vals = dequant_word_sym(word, s);
                     out[8 * w..8 * w + 8].copy_from_slice(&vals);
                 }
             }
             Scheme::Asymmetric => {
-                let zero = self.zeros[qg];
-                let s = F16::from_f32(scale);
-                let neg_zs = F16::from_f32(-zero * scale);
+                let neg_zs = self.offsets[qg];
                 for (w, &word) in logical.iter().enumerate() {
                     let vals = dequant_word_asym(word, s, neg_zs);
                     out[8 * w..8 * w + 8].copy_from_slice(&vals);
@@ -192,10 +188,11 @@ impl PackedMatrix {
         out
     }
 
-    /// Deployment memory in bytes: packed words plus FP16 scales (and
-    /// zero-points for asymmetric schemes).
+    /// Deployment memory in bytes, summed from the buffers held: packed
+    /// words plus FP16 scales (and offsets for asymmetric schemes).
     pub fn memory_bytes(&self) -> usize {
-        (self.main.len() + self.tail.len()) * 4 + self.cfg.param_bytes(self.rows, self.cols)
+        (self.main.len() + self.tail.len()) * std::mem::size_of::<u32>()
+            + (self.scales.len() + self.offsets.len()) * std::mem::size_of::<F16>()
     }
 }
 
@@ -266,6 +263,17 @@ mod tests {
         let param_bytes = 16 * 4 * 4; // 4 groups/row, f16 scale+zero
         assert_eq!(p.memory_bytes(), weight_bytes + param_bytes);
         assert!(p.memory_bytes() < fp16_bytes / 4);
+    }
+
+    #[test]
+    fn memory_is_the_buffers_held_and_what_the_config_bills() {
+        for cfg in [QuantConfig::int3_asym(), QuantConfig::int3_sym()] {
+            let q = quantized(8, 192, cfg, 8);
+            let p = PackedMatrix::pack(&q).unwrap();
+            let words = (p.main.len() + p.tail.len()) * 4;
+            assert_eq!(p.memory_bytes(), words + cfg.param_bytes(8, 192), "{cfg:?}");
+            assert_eq!(p.memory_bytes(), cfg.packed_bytes(8, 192), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! a retry would fix?"* It wraps a [`ForwardModel`] in a full request
 //! lifecycle:
 //!
-//! * **Bounded admission** — a bounded MPMC [`queue::Bounded`] rejects
-//!   work with a typed [`ServeError::Overloaded`] when full; queue depth
-//!   can never grow without bound.
+//! * **Admission control** — every admitted request without an outcome
+//!   sits in one ledger (queued, then running) under one lock; a full
+//!   queue rejects work with a typed [`ServeError::Overloaded`], so queue
+//!   depth can never grow without bound.
 //! * **Deadlines** — a per-request budget becomes a
 //!   [`milo_moe::CancelToken`] carried through the forward path and
 //!   checked at every layer boundary; an expired request unwinds with a
@@ -25,9 +26,10 @@
 //!   closed → open → half-open state machine (see `milo_moe::health`);
 //!   the server ticks cooldowns once per served request so quarantined
 //!   experts are re-probed and re-admitted deterministically.
-//! * **Watchdog + load shedding** — a watchdog thread cancels in-flight
-//!   requests past their deadline and, when workers are stalled, sheds
-//!   queued load deterministically, oldest request first.
+//! * **Watchdog + load shedding** — a watchdog thread expires queued
+//!   requests past their deadline and, for every running request past
+//!   its deadline (a stalled worker), sheds one queued request, oldest
+//!   first.
 //!
 //! Fault-free serving is *bit-identical* to calling the model's
 //! `forward_resilient` directly: admission, deadlines, and breakers only
@@ -36,12 +38,10 @@
 
 #![warn(missing_docs)]
 
-pub mod queue;
 pub mod request;
 pub mod retry;
 pub mod server;
 
-pub use queue::Bounded;
 pub use request::{Request, Response, Ticket};
 pub use retry::RetryPolicy;
 pub use server::{ForwardError, ForwardModel, Server, ServerConfig, ServerStats};

@@ -1,7 +1,6 @@
-//! Request, response, and the in-flight state shared between submitter,
-//! worker, and watchdog.
+//! Request, response, and the in-flight state shared between the
+//! server's ledger and the submitter.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,22 +55,14 @@ pub struct Response {
     pub latency: Duration,
 }
 
-/// Lifecycle state of an in-flight request (see [`Inflight::state`]).
-pub(crate) const STATE_QUEUED: u8 = 0;
-pub(crate) const STATE_RUNNING: u8 = 1;
-pub(crate) const STATE_DONE: u8 = 2;
-
-/// Shared per-request state: the queue holds it, a worker executes it,
-/// the watchdog inspects it, and the submitter waits on it.
+/// Shared per-request state: the server's ledger holds it while it is
+/// queued or running, and the submitter waits on it.
 pub(crate) struct Inflight {
     pub(crate) id: u64,
     pub(crate) tokens: Vec<u32>,
     pub(crate) mode: FaultMode,
     pub(crate) admitted: Instant,
     pub(crate) cancel: CancelToken,
-    /// `STATE_QUEUED` → `STATE_RUNNING` → `STATE_DONE`; the watchdog may
-    /// jump `QUEUED` → `DONE` when it sheds or expires a queued request.
-    pub(crate) state: AtomicU8,
     slot: Mutex<Option<Result<Response>>>,
     cond: Condvar,
 }
@@ -93,55 +84,16 @@ impl Inflight {
             mode,
             admitted: Instant::now(),
             cancel,
-            state: AtomicU8::new(STATE_QUEUED),
             slot: Mutex::new(None),
             cond: Condvar::new(),
         }
     }
 
-    /// Atomically claims the request for execution. Returns `false` if
-    /// the watchdog already resolved it (shed / expired while queued).
-    pub(crate) fn claim(&self) -> bool {
-        self.state
-            .compare_exchange(STATE_QUEUED, STATE_RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Atomically resolves a *queued* request (watchdog path). Returns
-    /// `false` if a worker claimed it first.
-    pub(crate) fn resolve_queued(&self, result: Result<Response>) -> bool {
-        if self
-            .state
-            .compare_exchange(STATE_QUEUED, STATE_DONE, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        self.fill(result);
-        true
-    }
-
-    /// Resolves a claimed request (worker path).
+    /// Delivers the terminal outcome. Called exactly once, by whoever
+    /// took the request out of the server's ledger.
     pub(crate) fn resolve(&self, result: Result<Response>) {
-        self.state.store(STATE_DONE, Ordering::Release);
-        self.fill(result);
-    }
-
-    fn fill(&self, result: Result<Response>) {
-        let mut slot = self.slot.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(result);
-        }
-        drop(slot);
+        *self.slot.lock().expect("ticket slot lock") = Some(result);
         self.cond.notify_all();
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_DONE
-    }
-
-    pub(crate) fn is_running(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_RUNNING
     }
 
     pub(crate) fn past_deadline(&self, now: Instant) -> bool {

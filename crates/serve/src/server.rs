@@ -1,13 +1,17 @@
 //! The server: admission, worker pool, retry loop, watchdog.
 //!
-//! Lifecycle of one request:
+//! Every admitted request without an outcome sits in one ledger, a
+//! `queued` deque and a `running` list under one mutex. Admission,
+//! workers, the watchdog and shutdown move requests between the two and
+//! out of the ledger under that lock; whoever takes a request out
+//! resolves it, exactly once. Lifecycle of one request:
 //!
 //! ```text
-//! submit ──admission──▶ queue ──claim──▶ forward (retry loop) ──▶ Response
+//! submit ──admission──▶ queued ──worker──▶ running: forward (retry loop) ──▶ Response
 //!    │                    │                   │
 //!    │ Overloaded /       │ watchdog:         │ DeadlineExceeded{Layer} /
-//!    │ InvalidDeadline    │ DeadlineExceeded  │ RetriesExhausted /
-//!    ▼                    ▼ {Queued} / Shed   ▼ Model / Internal
+//!    │ InvalidDeadline /  │ DeadlineExceeded  │ RetriesExhausted /
+//!    ▼ ShuttingDown       ▼ {Queued} / Shed   ▼ Model / Internal
 //! ```
 //!
 //! Invariants the chaos soak asserts (see `milo-faults`):
@@ -20,9 +24,10 @@
 //! * the fault-free path is bit-identical to calling the model's
 //!   `forward_resilient` directly.
 
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,7 +39,6 @@ use milo_tensor::prng::SeedableRng;
 use milo_tensor::rng::StdRng;
 use milo_tensor::Matrix;
 
-use crate::queue::{Bounded, PushError};
 use crate::request::{Inflight, Request, Response, Ticket};
 use crate::retry::RetryPolicy;
 use crate::{Result, ServeError, Stage};
@@ -130,7 +134,6 @@ struct Counters {
     shed: AtomicU64,
     retries: AtomicU64,
     panics: AtomicU64,
-    watchdog_cancels: AtomicU64,
     max_depth: AtomicU64,
 }
 
@@ -151,26 +154,35 @@ pub struct ServerStats {
     pub retries: u64,
     /// Worker panics contained by `catch_unwind`.
     pub panics: u64,
-    /// In-flight requests cancelled by the watchdog.
-    pub watchdog_cancels: u64,
     /// Highest queue depth observed at admission.
     pub max_depth: u64,
+}
+
+/// Every admitted request that has no outcome yet.
+struct Ledger {
+    /// Waiting for a worker, oldest first.
+    queued: VecDeque<Arc<Inflight>>,
+    /// Taken by a worker and not yet resolved.
+    running: Vec<Arc<Inflight>>,
+    /// Set at shutdown: admission refuses, idle workers exit.
+    closed: bool,
 }
 
 struct Shared {
     model: Arc<dyn ForwardModel>,
     cfg: ServerConfig,
-    queue: Bounded<Arc<Inflight>>,
-    registry: Mutex<Vec<Weak<Inflight>>>,
+    ledger: Mutex<Ledger>,
+    /// Wakes idle workers when a request is queued or the ledger closes.
+    work: Condvar,
     health: Arc<HealthTracker>,
     faults: Mutex<Vec<InjectedFault>>,
     next_id: AtomicU64,
-    shutdown: AtomicBool,
     stats: Counters,
 }
 
-/// The serving core: a worker pool behind a bounded queue, watched by a
-/// deadline/shedding watchdog. See the module docs for the lifecycle.
+/// The serving core: a worker pool behind a bounded request ledger,
+/// watched by a deadline/shedding watchdog. See the module docs for the
+/// lifecycle.
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -179,20 +191,24 @@ pub struct Server {
 
 impl Server {
     /// Starts the worker pool and watchdog.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.queue_capacity` is zero: a server that rejects
+    /// every request is a configuration error, not a policy.
     pub fn start(model: Arc<dyn ForwardModel>, cfg: ServerConfig) -> Self {
-        let health = Arc::new(if cfg.breaker_cooldown > 0 {
-            HealthTracker::with_cooldown(cfg.breaker_cooldown)
-        } else {
-            HealthTracker::new()
-        });
+        assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         let shared = Arc::new(Shared {
             model,
-            queue: Bounded::new(cfg.queue_capacity),
-            registry: Mutex::new(Vec::new()),
-            health,
+            ledger: Mutex::new(Ledger {
+                queued: VecDeque::new(),
+                running: Vec::new(),
+                closed: false,
+            }),
+            work: Condvar::new(),
+            health: Arc::new(HealthTracker::with_cooldown(cfg.breaker_cooldown)),
             faults: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             stats: Counters::default(),
             cfg,
         });
@@ -220,43 +236,34 @@ impl Server {
     /// reject *before* enqueueing — a rejected request consumes no
     /// queue slot.
     pub fn submit(&self, req: Request) -> Result<Ticket> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let budget = req.deadline.or(self.shared.cfg.default_deadline);
+        let shared = &self.shared;
+        let budget = req.deadline.or(shared.cfg.default_deadline);
         if budget.is_some_and(|b| b.is_zero()) {
             return Err(ServeError::InvalidDeadline);
         }
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = budget.map(|b| Instant::now() + b);
-        let mode = req.mode.unwrap_or(self.shared.cfg.mode);
+        let mode = req.mode.unwrap_or(shared.cfg.mode);
         let inflight = Arc::new(Inflight::new(id, req.tokens, mode, deadline));
-        self.shared
-            .registry
-            .lock()
-            .unwrap()
-            .push(Arc::downgrade(&inflight));
-        match self.shared.queue.try_push(Arc::clone(&inflight)) {
-            Ok(depth) => {
-                self.shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .stats
-                    .max_depth
-                    .fetch_max(depth as u64, Ordering::Relaxed);
-                milo_obs::gauge_set("serve.queue.depth", depth as f64);
-                milo_obs::counter_inc("serve.admitted.total");
-                Ok(Ticket { inner: inflight })
-            }
-            Err(PushError::Full(_)) => {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                milo_obs::counter_inc("serve.rejected.total");
-                Err(ServeError::Overloaded {
-                    depth: self.shared.queue.len(),
-                    capacity: self.shared.queue.capacity(),
-                })
-            }
-            Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
+        let mut ledger = shared.ledger.lock().expect("ledger lock");
+        if ledger.closed {
+            return Err(ServeError::ShuttingDown);
         }
+        let (depth, capacity) = (ledger.queued.len(), shared.cfg.queue_capacity);
+        if depth >= capacity {
+            drop(ledger);
+            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            milo_obs::counter_inc("serve.rejected.total");
+            return Err(ServeError::Overloaded { depth, capacity });
+        }
+        ledger.queued.push_back(Arc::clone(&inflight));
+        drop(ledger);
+        shared.work.notify_one();
+        shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        shared.stats.max_depth.fetch_max(depth as u64 + 1, Ordering::Relaxed);
+        milo_obs::gauge_set("serve.queue.depth", (depth + 1) as f64);
+        milo_obs::counter_inc("serve.admitted.total");
+        Ok(Ticket { inner: inflight })
     }
 
     /// Replaces the injected fault set consulted by subsequent
@@ -286,7 +293,6 @@ impl Server {
             shed: c.shed.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
             panics: c.panics.load(Ordering::Relaxed),
-            watchdog_cancels: c.watchdog_cancels.load(Ordering::Relaxed),
             max_depth: c.max_depth.load(Ordering::Relaxed),
         }
     }
@@ -300,12 +306,17 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.shared.queue.close();
-        for pending in self.shared.queue.drain() {
-            pending.resolve_queued(Err(ServeError::ShuttingDown));
+        let pending: Vec<_> = {
+            // Also runs from `Drop`, which must not panic; no code that
+            // can panic runs under the ledger lock, so a poisoned guard
+            // still holds a consistent ledger.
+            let mut ledger = self.shared.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            ledger.closed = true;
+            ledger.queued.drain(..).collect()
+        };
+        self.shared.work.notify_all();
+        for request in pending {
+            request.resolve(Err(ServeError::ShuttingDown));
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -322,13 +333,25 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    while let Some(inflight) = shared.queue.pop() {
-        milo_obs::gauge_set("serve.queue.depth", shared.queue.len() as f64);
-        if !inflight.claim() {
-            // Watchdog already resolved it (shed or expired while queued).
-            continue;
+/// Takes the oldest queued request into `running`, waiting while the
+/// queue is empty; `None` once the ledger is closed and drained.
+fn next_request(shared: &Shared) -> Option<Arc<Inflight>> {
+    let mut ledger = shared.ledger.lock().expect("ledger lock");
+    loop {
+        if let Some(next) = ledger.queued.pop_front() {
+            ledger.running.push(Arc::clone(&next));
+            milo_obs::gauge_set("serve.queue.depth", ledger.queued.len() as f64);
+            return Some(next);
         }
+        if ledger.closed {
+            return None;
+        }
+        ledger = shared.work.wait(ledger).expect("ledger lock");
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    while let Some(inflight) = next_request(shared) {
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| handle(shared, &inflight)));
         let result = match outcome {
@@ -354,11 +377,14 @@ fn worker_loop(shared: &Shared) {
                 milo_obs::counter_inc("serve.failed.total");
             }
         }
+        // Out of the ledger before resolving, so the watchdog never counts
+        // a finished request as a stalled worker.
+        shared.ledger.lock().expect("ledger lock").running.retain(|r| !Arc::ptr_eq(r, &inflight));
         inflight.resolve(result);
     }
 }
 
-/// Executes one claimed request: breaker tick, retry loop, typed
+/// Executes one running request: breaker tick, retry loop, typed
 /// terminal outcome.
 fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
     let _span = milo_obs::span(|| format!("serve.request{{id={}}}", inflight.id));
@@ -423,63 +449,40 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
     }
 }
 
+/// One scan per interval, under the ledger lock: queued requests past
+/// their deadline are expired, and for every running request past its
+/// deadline (a stalled worker) the oldest queued request is shed: it is
+/// the one most likely to miss its deadline anyway. Running requests
+/// are not touched: their token reports the expired deadline at the
+/// next layer boundary.
 fn watchdog_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::Acquire) {
+    loop {
         std::thread::sleep(shared.cfg.watchdog_interval);
         let now = Instant::now();
-        let mut stalled = 0usize;
-        {
-            let mut registry = shared.registry.lock().unwrap();
-            registry.retain(|weak| {
-                let Some(entry) = weak.upgrade() else { return false };
-                if entry.is_done() {
-                    return false;
-                }
-                if !entry.past_deadline(now) {
-                    return true;
-                }
-                if entry.is_running() {
-                    // A worker is past budget on this request: cancel it
-                    // (it unwinds at the next layer boundary) and count
-                    // the stall so load is shed below.
-                    if !entry.cancel.cancel_requested() {
-                        entry.cancel.cancel();
-                        shared
-                            .stats
-                            .watchdog_cancels
-                            .fetch_add(1, Ordering::Relaxed);
-                        milo_obs::counter_inc("serve.watchdog.cancel.total");
-                    }
-                    stalled += 1;
-                    return true;
-                }
-                // Still queued and already expired: resolve it here so
-                // the caller is unblocked without waiting for a worker.
-                if entry.resolve_queued(Err(ServeError::DeadlineExceeded {
-                    stage: Stage::Queued,
-                })) {
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    milo_obs::counter_inc("serve.failed.total");
-                    milo_obs::counter_inc("serve.deadline.queued.total");
-                }
-                false
-            });
+        let mut ledger = shared.ledger.lock().expect("ledger lock");
+        if ledger.closed {
+            return;
         }
-        // Workers are stalled past deadline: relieve pressure by
-        // shedding one queued victim per stalled worker, oldest first
-        // (the queue front): the oldest request is the most likely to
-        // miss its deadline anyway.
-        for _ in 0..stalled {
-            let Some(victim) = shared.queue.try_pop() else {
-                break;
-            };
-            if victim.resolve_queued(Err(ServeError::Shed)) {
-                shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                milo_obs::counter_inc("serve.shed.total");
-                milo_obs::counter_inc("serve.failed.total");
-                milo_obs::gauge_set("serve.queue.depth", shared.queue.len() as f64);
-            }
+        let (expired, mut waiting): (VecDeque<_>, VecDeque<_>) =
+            ledger.queued.drain(..).partition(|r| r.past_deadline(now));
+        let stalled = ledger.running.iter().filter(|r| r.past_deadline(now)).count();
+        let shed: Vec<_> = waiting.drain(..stalled.min(waiting.len())).collect();
+        let depth = waiting.len();
+        ledger.queued = waiting;
+        drop(ledger);
+        for request in expired {
+            request.resolve(Err(ServeError::DeadlineExceeded { stage: Stage::Queued }));
+            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+            milo_obs::counter_inc("serve.failed.total");
+            milo_obs::counter_inc("serve.deadline.queued.total");
+        }
+        for victim in shed {
+            victim.resolve(Err(ServeError::Shed));
+            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+            milo_obs::counter_inc("serve.shed.total");
+            milo_obs::counter_inc("serve.failed.total");
+            milo_obs::gauge_set("serve.queue.depth", depth as f64);
         }
     }
 }
@@ -487,12 +490,34 @@ fn watchdog_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn ok_model() -> Arc<dyn ForwardModel> {
         Arc::new(|tokens: &[u32], _ctx: &ResilienceContext| {
             Ok(Matrix::filled(tokens.len(), 4, tokens[0] as f32))
         })
+    }
+
+    /// A model that logs each request's first token, then holds until
+    /// `gate` opens.
+    fn gated_model(gate: &Arc<AtomicBool>, log: &Arc<Mutex<Vec<u32>>>) -> Arc<dyn ForwardModel> {
+        let (gate, log) = (Arc::clone(gate), Arc::clone(log));
+        Arc::new(move |tokens: &[u32], _ctx: &ResilienceContext| {
+            log.lock().unwrap().push(tokens[0]);
+            while !gate.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(Matrix::zeros(1, 1))
+        })
+    }
+
+    /// Polls until `log` holds `n` entries.
+    fn wait_for_log(log: &Mutex<Vec<u32>>, n: usize) {
+        let start = Instant::now();
+        while log.lock().unwrap().len() < n {
+            assert!(start.elapsed() < Duration::from_secs(10), "model never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn quick_cfg() -> ServerConfig {
@@ -691,7 +716,7 @@ mod tests {
         let stalled = server
             .submit(Request::new(vec![1]).with_deadline(Duration::from_millis(15)))
             .unwrap();
-        // Let the worker claim the stalling request before queueing more.
+        // Let the worker take the stalling request before queueing more.
         std::thread::sleep(Duration::from_millis(5));
         let queued: Vec<_> = (0..4)
             .map(|_| {
@@ -711,7 +736,6 @@ mod tests {
         gate.store(true, Ordering::Release);
         stalled.wait().unwrap();
         let stats = server.shutdown();
-        assert!(stats.watchdog_cancels >= 1);
         assert_eq!(stats.shed, 4);
     }
 
@@ -766,5 +790,117 @@ mod tests {
             Ok(_) | Err(ServeError::ShuttingDown) => {}
             other => panic!("unexpected queued outcome {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_worker_serves_the_queue_in_fifo_order() {
+        let (gate, log) = (Arc::new(AtomicBool::new(false)), Arc::new(Mutex::new(Vec::new())));
+        let server = Server::start(
+            gated_model(&gate, &log),
+            ServerConfig { workers: 1, ..quick_cfg() },
+        );
+        let mut tickets = vec![server.submit(Request::new(vec![0])).unwrap()];
+        wait_for_log(&log, 1);
+        for token in 1..=6 {
+            tickets.push(server.submit(Request::new(vec![token])).unwrap());
+        }
+        gate.store(true, Ordering::Release);
+        for (id, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait().unwrap().id, id as u64);
+        }
+        assert_eq!(*log.lock().unwrap(), (0..=6).collect::<Vec<_>>());
+        let stats = server.shutdown();
+        assert_eq!((stats.admitted, stats.completed), (7, 7));
+    }
+
+    #[test]
+    fn concurrent_submitters_get_every_ticket_resolved_exactly_once() {
+        // Each request's first token is unique; the model counts runs per
+        // token, so a request served twice (or resolved without running
+        // and then run anyway) shows up as a count other than one.
+        let runs = Arc::new(Mutex::new(std::collections::HashMap::<u32, u32>::new()));
+        let r = Arc::clone(&runs);
+        let model: Arc<dyn ForwardModel> =
+            Arc::new(move |tokens: &[u32], ctx: &ResilienceContext| {
+                *r.lock().unwrap().entry(tokens[0]).or_default() += 1;
+                ctx.sleep_interruptible(Duration::from_micros(200));
+                if ctx.is_cancelled() {
+                    return Err(MoeError::Cancelled { layer: 0 });
+                }
+                Ok(Matrix::zeros(1, 1))
+            });
+        let server = Server::start(
+            model,
+            ServerConfig { workers: 3, queue_capacity: 6, ..quick_cfg() },
+        );
+        let outcomes: Vec<(u32, Result<Response>)> = std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..4u32)
+                .map(|p| {
+                    let server = &server;
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        for i in 0..60u32 {
+                            let token = p * 1000 + i;
+                            let mut req = Request::new(vec![token]);
+                            if i % 5 == 0 {
+                                req = req.with_deadline(Duration::from_micros(300));
+                            }
+                            match server.submit(req) {
+                                Ok(t) => out.push((token, t)),
+                                Err(ServeError::Overloaded { depth, capacity }) => {
+                                    assert!(depth <= capacity);
+                                    std::thread::sleep(Duration::from_micros(100));
+                                }
+                                Err(e) => panic!("unexpected rejection {e:?}"),
+                            }
+                        }
+                        out.into_iter().map(|(token, t)| (token, t.wait())).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            submitters.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let stats = server.shutdown();
+        assert_eq!(stats.admitted, outcomes.len() as u64);
+        assert_eq!(stats.admitted + stats.rejected, 240);
+        assert_eq!(stats.completed + stats.failed, stats.admitted);
+        let runs = runs.lock().unwrap();
+        let mut completed = 0;
+        for (token, outcome) in &outcomes {
+            match outcome {
+                Ok(_) => {
+                    completed += 1;
+                    assert_eq!(runs.get(token), Some(&1), "token {token} ran more than once");
+                }
+                Err(ServeError::DeadlineExceeded { .. } | ServeError::Shed) => {
+                    assert!(runs.get(token).copied().unwrap_or(0) <= 1);
+                }
+                Err(e) => panic!("unexpected outcome for {token}: {e:?}"),
+            }
+        }
+        assert_eq!(stats.completed, completed);
+        assert_eq!(runs.values().sum::<u32>() as usize, runs.len());
+    }
+
+    #[test]
+    fn deadline_expiring_in_the_queue_resolves_before_the_worker_frees_up() {
+        let (gate, log) = (Arc::new(AtomicBool::new(false)), Arc::new(Mutex::new(Vec::new())));
+        let server = Server::start(
+            gated_model(&gate, &log),
+            ServerConfig { workers: 1, ..quick_cfg() },
+        );
+        let busy = server.submit(Request::new(vec![0])).unwrap();
+        wait_for_log(&log, 1);
+        let queued = server
+            .submit(Request::new(vec![1]).with_deadline(Duration::from_millis(20)))
+            .unwrap();
+        let outcome = queued.wait_timeout(Duration::from_secs(10)).expect("watchdog resolves it");
+        assert!(!gate.load(Ordering::Acquire), "the worker is still busy");
+        assert_eq!(outcome.unwrap_err(), ServeError::DeadlineExceeded { stage: Stage::Queued });
+        gate.store(true, Ordering::Release);
+        busy.wait().unwrap();
+        assert_eq!(*log.lock().unwrap(), vec![0], "the expired request never ran");
+        let stats = server.shutdown();
+        assert_eq!((stats.completed, stats.failed, stats.shed), (1, 1, 0));
     }
 }

@@ -146,14 +146,7 @@ pub fn read_section_lenient(
         return Err(CorruptSection { section: section.to_string(), fault }.into());
     }
     let stored = read_u32(r).map_err(eof)?;
-    // Grow the buffer only as data actually arrives: a corrupt length
-    // header below the cap must fail fast on truncation, not allocate
-    // gigabytes up front.
-    let mut payload = Vec::with_capacity((len as usize).min(1 << 20));
-    r.take(len).read_to_end(&mut payload)?;
-    if payload.len() as u64 != len {
-        return Err(eof(io::ErrorKind::UnexpectedEof.into()));
-    }
+    let payload = read_vec(r, len as usize).map_err(eof)?;
     let computed = crc32(&payload);
     if computed != stored {
         let c = CorruptSection {
@@ -485,8 +478,33 @@ pub fn read_f32(r: &mut impl Read) -> io::Result<f32> {
     Ok(f32::from_le_bytes(b))
 }
 
-/// Reads a length header, guarding against absurd allocations from
-/// corrupt input.
+/// Bytes a reader reserves up front for a buffer whose length came from
+/// the stream; anything longer grows as its bytes actually arrive.
+const RESERVE_BYTES: usize = 1 << 20;
+
+/// Reads exactly `n` bytes, growing the buffer only as data arrives: a
+/// corrupt length header fails on the short read instead of allocating
+/// its length up front.
+fn read_vec(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(n.min(RESERVE_BYTES));
+    r.take(n as u64).read_to_end(&mut buf)?;
+    if buf.len() != n {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(buf)
+}
+
+/// Reads `n` little-endian `f32`s, with the same capped reservation as
+/// [`read_vec`].
+fn read_f32s(r: &mut impl Read, n: usize) -> io::Result<Vec<f32>> {
+    let mut out = Vec::with_capacity(n.min(RESERVE_BYTES / 4));
+    for _ in 0..n {
+        out.push(read_f32(r)?);
+    }
+    Ok(out)
+}
+
+/// Reads a length header, rejecting one no model here could need.
 fn read_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
     let n = read_u64(r)?;
     const LIMIT: u64 = 1 << 34; // 16 Gi elements: far beyond any model here
@@ -505,9 +523,7 @@ pub fn write_string(w: &mut impl Write, s: &str) -> io::Result<()> {
 /// Reads a UTF-8 string.
 pub fn read_string(r: &mut impl Read) -> io::Result<String> {
     let n = read_len(r, "string")?;
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| invalid(format!("bad utf-8: {e}")))
+    String::from_utf8(read_vec(r, n)?).map_err(|e| invalid(format!("bad utf-8: {e}")))
 }
 
 /// Writes a `Vec<f32>` with a length header.
@@ -522,11 +538,7 @@ pub fn write_f32_slice(w: &mut impl Write, xs: &[f32]) -> io::Result<()> {
 /// Reads a `Vec<f32>`.
 pub fn read_f32_vec(r: &mut impl Read) -> io::Result<Vec<f32>> {
     let n = read_len(r, "f32 vector")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read_f32(r)?);
-    }
-    Ok(out)
+    read_f32s(r, n)
 }
 
 /// Writes a byte slice with a length header.
@@ -538,9 +550,7 @@ pub fn write_bytes(w: &mut impl Write, xs: &[u8]) -> io::Result<()> {
 /// Reads a byte vector.
 pub fn read_bytes(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let n = read_len(r, "byte vector")?;
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
+    read_vec(r, n)
 }
 
 /// Writes a matrix (shape header + row-major f32 data).
@@ -558,11 +568,7 @@ pub fn read_matrix(r: &mut impl Read) -> io::Result<Matrix> {
     let rows = read_len(r, "matrix rows")?;
     let cols = read_len(r, "matrix cols")?;
     let n = rows.checked_mul(cols).ok_or_else(|| invalid("matrix shape overflows"))?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(read_f32(r)?);
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
+    Ok(Matrix::from_vec(rows, cols, read_f32s(r, n)?))
 }
 
 #[cfg(test)]

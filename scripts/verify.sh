@@ -27,11 +27,12 @@
 #    projection tiles at 128×128) is served the same way and its trace
 #    must contain `pack.gemm.fused`: the fused W3A16 kernel runs end to
 #    end.
-# 6. Serving soak: the seeded quick chaos soak (1000 requests, kill +
-#    poison + slow faults, burst arrivals, deadlines) through the real
-#    server; the soak itself asserts the invariants (no escaped panics,
-#    bounded queue, every request resolved by deadline+ε, breakers
-#    recover) and exits nonzero on the first violation.
+# 6. Serving soaks: the seeded quick chaos soak (1000 requests, kill +
+#    poison + slow faults, burst arrivals, deadlines) at seed 7, then the
+#    full soak at seed 11, through the real server; the soak itself
+#    asserts the invariants (no escaped panics, bounded queue, every
+#    request resolved by deadline+ε, breakers recover) and exits nonzero
+#    on the first violation.
 # 7. Benchmark package tests: builds `perfbench/` (its own workspace,
 #    path dependencies on crates/*) and runs its unit tests, so a change
 #    to the engine API or the metric names the benchmark reads fails
@@ -198,12 +199,15 @@ echo "ok: telemetry traces validated for quantize and stats (MILO_TELEMETRY=trac
 echo "    the fused INT3 kernel ran end to end (pack.gemm.fused traced);"
 echo "    milo-cli check verifies the MILO artifact and rejects a truncated copy"
 
-# --- 6. Serving soak (quick profile) ---------------------------------------
-# 1000 seeded requests through the serve layer with chaos faults; the
-# run budget is ~10s and the driver fails on the first invariant
-# violation, printing the seed so it reproduces exactly.
+# --- 6. Serving soaks (quick and full profiles) ----------------------------
+# Seeded requests through the serve layer with chaos faults; each run
+# takes seconds and the driver fails on the first invariant violation,
+# printing the seed so it reproduces exactly. The full profile drives
+# the request lifecycle longer, at a second seed.
 "$cli" soak --quick --seed 7 >/dev/null
 echo "ok: quick serving soak held all invariants (seed 7)"
+"$cli" soak --full --seed 11 >/dev/null
+echo "ok: full serving soak held all invariants (seed 11)"
 
 # --- 7. Benchmark package tests --------------------------------------------
 cargo test -q --offline --release --manifest-path perfbench/Cargo.toml >/dev/null

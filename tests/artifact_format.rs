@@ -1,5 +1,6 @@
 //! The on-disk artifact container: byte-level stability of both formats,
-//! and rejection of bytes smuggled inside a checksummed section.
+//! and rejection of bytes smuggled inside a checksummed section or of
+//! lengths no section could hold.
 
 use milo_core::serialize::{read_compressed_model, verify_compressed_stream, write_compressed_model};
 use milo_core::{
@@ -8,9 +9,11 @@ use milo_core::{
 };
 use milo_moe::serialize::{read_model, verify_model_stream, write_model};
 use milo_moe::{MoeConfig, MoeModel};
+use milo_quant::serialize::write_quantized;
 use milo_quant::{rtn_quantize, QuantConfig};
 use milo_tensor::io::{
-    corrupt_section_info, read_section, read_u64, write_section, write_u64, SectionFault,
+    corrupt_section_info, read_section, read_u64, write_f32, write_section, write_string,
+    write_u32, write_u64, IntegrityReport, SectionFault, VERSION,
 };
 use milo_tensor::Matrix;
 use std::io::Cursor;
@@ -141,4 +144,93 @@ fn a_record_count_cut_short_is_a_truncated_layer_table() {
     }
     assert!(read_model(&mut Cursor::new(moem_cut)).is_err());
     assert!(read_compressed_model(&mut Cursor::new(milo_cut)).is_err());
+}
+
+/// A v2 stream of `magic`: the version, an optional header section, the
+/// record count and one section per record, every section under a valid
+/// CRC-32.
+fn framed(magic: &[u8; 4], header: Option<&[u8]>, records: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    write_u32(&mut out, VERSION).unwrap();
+    if let Some(header) = header {
+        write_section(&mut out, header).unwrap();
+    }
+    write_u64(&mut out, records.len() as u64).unwrap();
+    for record in records {
+        write_section(&mut out, record).unwrap();
+    }
+    out
+}
+
+/// `head` followed by little-endian `u64`s.
+fn with_u64s(head: &[u8], values: &[u64]) -> Vec<u8> {
+    let mut out = head.to_vec();
+    for &v in values {
+        write_u64(&mut out, v).unwrap();
+    }
+    out
+}
+
+/// Asserts that reading failed on a malformed section and that the
+/// verifier reports that section as malformed.
+fn assert_malformed(read: std::io::Result<()>, report: IntegrityReport, section: &str) {
+    let err = read.expect_err("a crafted length must not load");
+    let info = corrupt_section_info(&err).unwrap_or_else(|| panic!("untyped error: {err}"));
+    assert_eq!(info.section, section, "{err}");
+    assert!(matches!(info.fault, SectionFault::Malformed(_)), "{err}");
+    assert!(!report.is_ok(), "{report:?}");
+    let fault = report.sections.iter().find(|s| s.name == section).map(|s| &s.fault);
+    assert!(matches!(fault, Some(Some(SectionFault::Malformed(_)))), "{report:?}");
+}
+
+#[test]
+fn lengths_past_the_section_end_are_malformed_not_allocated() {
+    const HUGE: u64 = 1 << 34;
+    const SIDE: u64 = 1 << 17; // SIDE × SIDE = HUGE elements
+
+    // MOEM: the config name in the header, then the first matrix of a
+    // layer behind a valid header.
+    let mut clean = Vec::new();
+    write_model(&mut clean, &MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 3)).unwrap();
+    let header = read_section(&mut &clean[8..], "").unwrap();
+    for (bytes, section) in [
+        (framed(b"MOEM", Some(&with_u64s(&[], &[HUGE])), &[]), "model header"),
+        (framed(b"MOEM", Some(&header), &[with_u64s(&[], &[SIDE, SIDE])]), "layer 0"),
+    ] {
+        let read = read_model(&mut Cursor::new(&bytes[..])).map(drop);
+        let report = verify_model_stream(&mut Cursor::new(&bytes[..])).unwrap();
+        assert_malformed(read, report, section);
+    }
+
+    // MILO: one 1×64 attention record, cut at the layer name, the code
+    // bytes, the scales and the FP32 compensator's first factor.
+    let mut q = Vec::new();
+    write_quantized(&mut q, &rtn_quantize(&weight(1, 64, 0), &QuantConfig::int3_asym()).unwrap())
+        .unwrap();
+    assert_eq!(read_u64(&mut &q[36..]).unwrap(), 64, "code byte count");
+    assert_eq!(read_u64(&mut &q[108..]).unwrap(), 1, "scale count");
+    let mut meta = Vec::new();
+    write_string(&mut meta, "x").unwrap();
+    write_u32(&mut meta, 0).unwrap(); // attention
+    write_u64(&mut meta, 1).unwrap();
+    write_u64(&mut meta, 64).unwrap();
+    write_f32(&mut meta, 0.0).unwrap();
+    write_f32(&mut meta, 0.0).unwrap();
+    write_u64(&mut meta, 0).unwrap(); // rank
+    let mut fp32_compensator = [meta.as_slice(), &q].concat();
+    write_u32(&mut fp32_compensator, 1).unwrap(); // present
+    write_u32(&mut fp32_compensator, 0).unwrap(); // FP32 factors
+    for record in [
+        with_u64s(&[], &[HUGE]),
+        with_u64s(&[meta.as_slice(), &q[..36]].concat(), &[HUGE]),
+        with_u64s(&[meta.as_slice(), &q[..108]].concat(), &[HUGE]),
+        with_u64s(&fp32_compensator, &[SIDE, SIDE]),
+    ] {
+        let bytes = framed(b"MILO", None, &[record]);
+        let read = read_compressed_model(&mut Cursor::new(&bytes[..])).map(drop);
+        let report = verify_compressed_stream(&mut Cursor::new(&bytes[..])).unwrap();
+        let section = report.sections[0].name.clone();
+        assert!(section.starts_with("layer 0"), "{section}");
+        assert_malformed(read, report, &section);
+    }
 }
