@@ -6,9 +6,8 @@
 //! Besides the usual `gemm` suite (JSON via `MILO_BENCH_JSON`), this
 //! bench records the repo's first performance baseline at
 //! `results/BENCH_gemm_threads.json`: the fused 256×256 kernel at
-//! batch 16 for 1/2/4 threads, and the batch-1 padded-row fix measured
-//! against a faithful replica of the pre-fix kernel. Override the output
-//! path with `MILO_BENCH_BASELINE` (empty string disables).
+//! batch 16 for 1/2/4 threads, and at batch 1 on one thread. Override
+//! the output path with `MILO_BENCH_BASELINE` (empty string disables).
 
 use milo_eval::bench::{black_box, BenchResult, Config, Harness};
 use milo_obs::json::JsonValue;
@@ -18,7 +17,7 @@ use milo_quant::{rtn_quantize, QuantConfig};
 use milo_tensor::pool;
 use milo_tensor::rng::SeedableRng;
 use milo_tensor::rng::WeightDist;
-use milo_tensor::{F16, Matrix};
+use milo_tensor::Matrix;
 
 fn setup(batch: usize, k: usize, n: usize) -> (Matrix, Matrix, PackedMatrix) {
     let mut rng = milo_tensor::rng::StdRng::seed_from_u64(7);
@@ -26,52 +25,6 @@ fn setup(batch: usize, k: usize, n: usize) -> (Matrix, Matrix, PackedMatrix) {
     let x = WeightDist::Gaussian { std: 1.0 }.sample_matrix(batch, k, &mut rng);
     let q = rtn_quantize(&w, &QuantConfig::int3_asym()).unwrap();
     (x, q.dequantize(), PackedMatrix::pack(&q).unwrap())
-}
-
-/// A faithful replica of the pre-fix fused kernel: batch-major
-/// accumulator, by-value `[F16; 32]` dequant round-trip, and — the bug
-/// the padded-row fix removed — the MAC loop running over every *padded*
-/// batch row, 16× wasted multiplies at batch 1. Kept here so the fix
-/// stays measurable against a recorded baseline.
-fn legacy_padded_rows_gemm(tile: TileShape, x: &Matrix, w: &PackedMatrix) -> Matrix {
-    /// The Tensor-Core batch granule the pre-fix kernel padded to.
-    const BATCH_GRANULE: usize = 16;
-    let batch = x.rows();
-    let (k, n) = (w.cols(), w.rows());
-    let (tile_k, tile_n) = tile.dims();
-    let padded_batch = batch.div_ceil(BATCH_GRANULE) * BATCH_GRANULE;
-    let mut x16 = vec![F16::ZERO; padded_batch * k];
-    for b in 0..batch {
-        for (j, &v) in x.row(b).iter().enumerate() {
-            x16[b * k + j] = F16::from_f32(v);
-        }
-    }
-    let mut acc = vec![0.0f32; padded_batch * n];
-    let mut wtile = vec![F16::ZERO; tile_k];
-    for n0 in (0..n).step_by(tile_n) {
-        for k0 in (0..k).step_by(tile_k) {
-            for o in n0..n0 + tile_n {
-                for (gi, g) in ((k0 / 32)..((k0 + tile_k) / 32)).enumerate() {
-                    let mut vals = [F16::ZERO; 32];
-                    w.dequant_group_into(o, g, &mut vals);
-                    wtile[gi * 32..gi * 32 + 32].copy_from_slice(&vals);
-                }
-                for b in 0..padded_batch {
-                    let xrow = &x16[b * k + k0..b * k + k0 + tile_k];
-                    let mut sum = 0.0f32;
-                    for (xv, wv) in xrow.iter().zip(&wtile) {
-                        sum += xv.to_f32() * wv.to_f32();
-                    }
-                    acc[b * n + o] += sum;
-                }
-            }
-        }
-    }
-    let mut out = Matrix::zeros(batch, n);
-    for b in 0..batch {
-        out.row_mut(b).copy_from_slice(&acc[b * n..b * n + n]);
-    }
-    out
 }
 
 fn bench_fused_vs_unfused(c: &mut Harness) {
@@ -100,8 +53,8 @@ fn bench_tile_shapes(c: &mut Harness) {
     }
 }
 
-/// The recorded baseline suite: fused GEMM across the `threads` axis and
-/// the batch-1 padded-row fix vs the legacy kernel.
+/// The recorded baseline suite: fused GEMM across the `threads` axis,
+/// and at batch 1.
 fn bench_threads_baseline(c: &mut Harness) {
     let kernel = GemmKernel::default();
 
@@ -115,13 +68,10 @@ fn bench_threads_baseline(c: &mut Harness) {
     }
 
     let (x1, _, packed1) = setup(1, 256, 256);
-    c.bench_function("fused_256x256/bs1/threads1_fixed", |b| {
+    c.bench_function("fused_256x256/bs1/threads1", |b| {
         pool::with_threads(1, || {
             b.iter(|| kernel.gemm(black_box(&x1), black_box(&packed1)).unwrap())
         })
-    });
-    c.bench_function("fused_256x256/bs1/legacy_padded_rows", |b| {
-        b.iter(|| legacy_padded_rows_gemm(kernel.tile, black_box(&x1), black_box(&packed1)))
     });
 }
 
@@ -130,7 +80,7 @@ fn median_of<'a>(results: &'a [BenchResult], name: &str) -> Option<f64> {
 }
 
 /// Writes the recorded baseline JSON: harness rows plus host metadata and
-/// the two headline speedups later PRs are measured against.
+/// the threads-4 over threads-1 speedup at batch 16.
 fn write_baseline(results: &[BenchResult], harness_json: JsonValue) {
     let path = match std::env::var("MILO_BENCH_BASELINE") {
         Ok(p) if p.is_empty() => return,
@@ -166,13 +116,6 @@ fn write_baseline(results: &[BenchResult], harness_json: JsonValue) {
                     JsonValue::Number(speedup(
                         "fused_256x256/bs16/threads1",
                         "fused_256x256/bs16/threads4",
-                    )),
-                ),
-                field(
-                    "speedup_bs1_padded_row_fix",
-                    JsonValue::Number(speedup(
-                        "fused_256x256/bs1/legacy_padded_rows",
-                        "fused_256x256/bs1/threads1_fixed",
                     )),
                 ),
             ]),

@@ -12,7 +12,7 @@ pub mod methods;
 pub mod strategies;
 
 pub use args::Args;
-pub use methods::{run_gptq, run_milo, run_rtn, CompressionOutcome};
+pub use methods::{run_milo, run_rtn, CompressionOutcome};
 pub use strategies::{deepseek_s1, deepseek_s2, mixtral_s1, mixtral_s2, scale_rank};
 
 use milo_eval::EvalConfig;

@@ -7,7 +7,6 @@ use milo_core::{
 };
 use milo_eval::time_it;
 use milo_moe::{apply_compressed, layer_tensors, FrequencyProfile, MoeModel};
-use milo_quant::calib::{synthetic_calibration, CalibProfile};
 use milo_quant::{gptq_quantize, rtn_quantize, GptqOptions, QuantConfig};
 use milo_tensor::pool::par_map;
 
@@ -53,46 +52,6 @@ pub fn run_rtn(reference: &MoeModel, cfg: &QuantConfig) -> Result<CompressionOut
                 meta: t.meta,
                 rank: 0,
                 layer: CompressedLayer { qweight, compensator: None, convergence: vec![] },
-            })
-        })
-    });
-    let layers = records.into_iter().collect::<Result<Vec<_>, _>>()?;
-    outcome(reference, CompressedModel { layers }, seconds)
-}
-
-/// GPTQ baseline: Hessian-guided quantization with synthetic calibration
-/// activations (one independent isotropic set per weight matrix —
-/// standing in for propagated Wikitext-2 activations). `calib_per_dim`
-/// sets the calibration-set size as a multiple of each matrix's input
-/// dimension.
-pub fn run_gptq(
-    reference: &MoeModel,
-    cfg: &QuantConfig,
-    calib_per_dim: f32,
-    calib_seed: u64,
-) -> Result<CompressionOutcome, BoxError> {
-    let tensors = layer_tensors(reference, None);
-    let (records, seconds) = time_it(|| {
-        par_map(tensors.len(), |i| {
-            let t = &tensors[i];
-            // The Hessian H = 2·Xᵀ·X must be well-conditioned, so the
-            // calibration set scales with the matrix input dimension
-            // (rank-deficient Hessians make the error propagation harmful).
-            let n_calib = ((t.weight.cols() as f32 * calib_per_dim) as usize)
-                .max(t.weight.cols() + 16);
-            let x = synthetic_calibration(
-                n_calib,
-                t.weight.cols(),
-                CalibProfile::Isotropic,
-                calib_seed.wrapping_add(i as u64),
-            );
-            gptq_quantize(&t.weight, &x, cfg, &GptqOptions::default()).map(|qweight| {
-                LayerRecord {
-                    name: t.name.clone(),
-                    meta: t.meta,
-                    rank: 0,
-                    layer: CompressedLayer { qweight, compensator: None, convergence: vec![] },
-                }
             })
         })
     });
@@ -214,7 +173,7 @@ mod tests {
         let r = reference();
         let cfg = QuantConfig::int3_asym();
         let rtn = run_rtn(&r, &cfg).unwrap();
-        let gptq = run_gptq(&r, &cfg, 2.0, 0).unwrap();
+        let gptq = run_gptq_full(&r, &cfg, &generate_corpus(&r, 4, 12, 5).unwrap(), 0).unwrap();
         let hqq = run_milo(&r, None, &RankPolicy::uniform(0), &fast_opts(), 2).unwrap();
         let milo = run_milo(&r, None, &RankPolicy::uniform(4), &fast_opts(), 2).unwrap();
         for (name, o) in

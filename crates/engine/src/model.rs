@@ -149,14 +149,9 @@ mod tests {
         let engine = PackedMoeModel::build(&reference, &compressed).unwrap();
         let tokens = [1u32, 7, 13, 22, 40];
         // Find an expert that actually receives tokens in layer 0.
-        let mut counts = reference.fresh_counts();
-        reference.forward_counting(&tokens, Some(&mut counts)).unwrap();
-        let busiest = counts[0]
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(e, _)| e)
-            .unwrap();
+        let profile = milo_moe::profile_expert_frequency(&reference, &[tokens.to_vec()]).unwrap();
+        let freqs = &profile.per_layer[0];
+        let busiest = (0..freqs.len()).max_by(|&a, &b| freqs[a].total_cmp(&freqs[b])).unwrap();
         for kind in [milo_moe::FaultKind::NanOutput, milo_moe::FaultKind::Panic] {
             let fault = milo_moe::InjectedFault { layer: 0, expert: busiest, kind };
             let ctx = ResilienceContext::degrade().with_fault(fault);

@@ -27,6 +27,10 @@
 //!   that sleep before computing, from "slow" to "stalled past any
 //!   deadline", exercising deadlines, cooperative cancellation, and load
 //!   shedding in `milo-serve`.
+//! * **Fault arming** ([`FaultInjector`]) — a [`ForwardModel`] in front
+//!   of a served model that adds the currently armed expert faults to
+//!   every forward call, so a drill flips faults on and off while the
+//!   server keeps serving.
 //! * **Chaos soak** ([`soak`]) — thousands of seeded requests through a
 //!   real packed-engine server under kill/poison/slow faults and burst
 //!   arrivals, asserting the serving invariants end to end.
@@ -37,8 +41,11 @@ pub mod soak;
 
 pub use soak::{run_soak, SoakConfig, SoakReport};
 
-use milo_moe::{FaultKind, InjectedFault};
+use std::sync::{Arc, Mutex};
+
+use milo_moe::{FaultKind, InjectedFault, ResilienceContext};
 use milo_quant::qtensor::QuantizedMatrix;
+use milo_serve::ForwardModel;
 use milo_tensor::prng::{Rng, SeedableRng};
 use milo_tensor::rng::StdRng;
 use milo_tensor::Matrix;
@@ -183,6 +190,45 @@ pub fn stall_expert(layer: usize, expert: usize) -> InjectedFault {
     slow_expert(layer, expert, 60_000)
 }
 
+/// A [`ForwardModel`] in front of `M` that adds the currently armed
+/// faults to each call's [`ResilienceContext`]. The server hands every
+/// attempt a fresh context with no injected faults; whatever is armed
+/// when an attempt starts fires for that attempt.
+pub struct FaultInjector<M> {
+    inner: M,
+    armed: Mutex<Vec<InjectedFault>>,
+}
+
+impl<M> FaultInjector<M> {
+    /// Wraps `inner` with no fault armed.
+    pub fn new(inner: M) -> Self {
+        FaultInjector { inner, armed: Mutex::new(Vec::new()) }
+    }
+
+    /// Replaces the armed fault set for subsequent calls.
+    pub fn arm(&self, faults: Vec<InjectedFault>) {
+        *self.armed.lock().expect("fault set lock") = faults;
+    }
+
+    /// Disarms every fault.
+    pub fn disarm(&self) {
+        self.arm(Vec::new());
+    }
+}
+
+impl<M: ForwardModel> ForwardModel for FaultInjector<M> {
+    fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix> {
+        let armed = self.armed.lock().expect("fault set lock").clone();
+        let ctx = ResilienceContext {
+            mode: ctx.mode,
+            health: Arc::clone(&ctx.health),
+            injected: ctx.injected.iter().copied().chain(armed).collect(),
+            cancel: ctx.cancel.clone(),
+        };
+        self.inner.forward(tokens, &ctx)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +295,21 @@ mod tests {
         assert!(m.as_slice()[i].is_nan());
         let j = inject_inf(&mut m, &mut rng);
         assert!(m.as_slice()[j].is_infinite());
+    }
+
+    #[test]
+    fn injector_adds_the_armed_faults_to_each_call() {
+        let count = |_: &[u32], ctx: &ResilienceContext| {
+            Ok(Matrix::filled(1, 1, ctx.injected.len() as f32))
+        };
+        let model = FaultInjector::new(count);
+        let ctx = ResilienceContext::degrade().with_fault(kill_expert(0, 0));
+        let injected = |m: &FaultInjector<_>| m.forward(&[1], &ctx).unwrap().as_slice()[0];
+        assert_eq!(injected(&model), 1.0, "nothing armed: the caller's faults only");
+        model.arm(vec![poison_expert(1, 2), slow_expert(1, 3, 5)]);
+        assert_eq!(injected(&model), 3.0);
+        model.disarm();
+        assert_eq!(injected(&model), 1.0);
     }
 
     #[test]

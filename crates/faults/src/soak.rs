@@ -1,17 +1,19 @@
 //! Chaos / soak driver for the serving layer.
 //!
 //! Runs thousands of seeded requests through a real
-//! [`milo_serve::Server`] wrapping the packed engine, in three phases:
+//! [`milo_serve::Server`] serving the packed engine behind a
+//! [`FaultInjector`], in three phases:
 //!
 //! 1. **Warm-up** (first 20%) — fault-free burst arrivals; establishes
 //!    the healthy baseline.
-//! 2. **Fault window** (to 50%) — an expert is killed (panics
-//!    mid-dispatch), another poisoned (NaN output), a third slowed
+//! 2. **Fault window** (to 50%) — the injector arms three faults on
+//!    layer 1: an expert is killed (panics mid-dispatch), another
+//!    poisoned (NaN output), a third slowed
 //!    ([`FaultKind::Slow`]); a seeded fraction of requests runs strict
 //!    (exercising retries) and a seeded slice carries deadlines shorter
 //!    than the slow fault (exercising cancellation and shedding), while
 //!    oversized bursts exercise admission control.
-//! 3. **Recovery** (rest) — faults cleared; circuit breakers must walk
+//! 3. **Recovery** (rest) — faults disarmed; circuit breakers must walk
 //!    open → half-open → closed and re-admit the quarantined experts.
 //!
 //! [`run_soak`] asserts the serving invariants and returns an `Err`
@@ -36,11 +38,11 @@ use milo_engine::PackedMoeModel;
 use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeError, MoeModel};
 use milo_obs::json::JsonValue;
 use milo_quant::HqqOptions;
-use milo_serve::{Request, RetryPolicy, ServeError, Server, ServerConfig, Ticket};
+use milo_serve::{ForwardModel, Request, RetryPolicy, ServeError, Server, ServerConfig, Ticket};
 use milo_tensor::prng::{Rng, SeedableRng};
 use milo_tensor::rng::StdRng;
 
-use crate::{kill_expert, poison_expert, slow_expert};
+use crate::{kill_expert, poison_expert, slow_expert, FaultInjector};
 
 // Referenced by the module docs.
 #[allow(unused_imports)]
@@ -195,7 +197,7 @@ impl SoakReport {
 /// The default shape keeps a single forward in the hundreds of
 /// microseconds, so soak latency is dominated by the injected faults
 /// and queueing — the behaviours under test — not raw compute.
-fn build_soak_model(seed: u64) -> Result<(Arc<PackedMoeModel>, MoeConfig), String> {
+fn build_soak_model(seed: u64) -> Result<(PackedMoeModel, MoeConfig), String> {
     let cfg = MoeConfig::tiny_mixtral();
     let reference = MoeModel::synthesize(&cfg, seed);
     let tensors = layer_tensors(&reference, None);
@@ -208,7 +210,7 @@ fn build_soak_model(seed: u64) -> Result<(Arc<PackedMoeModel>, MoeConfig), Strin
         .map_err(|e| format!("soak model compression failed: {e}"))?;
     let packed = PackedMoeModel::build(&reference, &compressed)
         .map_err(|e| format!("soak model build failed: {e}"))?;
-    Ok((Arc::new(packed), cfg))
+    Ok((packed, cfg))
 }
 
 struct Pending {
@@ -280,8 +282,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         return Err("soak needs at least 100 requests to cover all three phases".into());
     }
     let (model, moe_cfg) = build_soak_model(cfg.seed)?;
+    let model = Arc::new(FaultInjector::new(model));
     let server = Server::start(
-        model,
+        Arc::clone(&model) as Arc<dyn ForwardModel>,
         ServerConfig {
             workers: cfg.workers,
             queue_capacity: cfg.queue_capacity,
@@ -315,11 +318,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let mut sent = 0usize;
     while sent < cfg.requests {
         if !faults_on && sent >= warmup_end && sent < faults_end {
-            server.set_faults(faults.clone());
+            model.arm(faults.clone());
             faults_on = true;
         }
         if faults_on && sent >= faults_end {
-            server.clear_faults();
+            model.disarm();
             faults_on = false;
         }
         let in_fault_window = sent >= warmup_end && sent < faults_end;

@@ -4,16 +4,16 @@
 //! pipeline runs Wikitext-2 through the model with forward hooks; this
 //! module plays that role for the synthetic models: it runs a corpus
 //! through a copy of the model ([`MoeModel::try_map`]) whose every
-//! weight records the rows that flow into it (attention inputs,
-//! per-expert routed token subsets, post-activation hiddens for the down
-//! projections) before applying itself.
+//! weight is a tap that records the rows that flow into it (attention
+//! inputs, per-expert routed token subsets, post-activation hiddens for
+//! the down projections) before applying itself.
 //!
 //! The recorded names are [`MoeModel::projections`]' names, so the
 //! captured map plugs straight into a per-layer GPTQ run.
 
-use crate::linear::Linear;
 use crate::model::MoeModel;
-use crate::{MoeError, Result};
+use crate::tensors::layer_index;
+use crate::Result;
 use milo_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -71,68 +71,23 @@ impl ActivationStore {
     }
 }
 
-/// A weight that records every input it is applied to — the forward
-/// hook of calibration capture.
-struct Recording<'a> {
-    name: String,
-    weight: &'a Matrix,
-    store: &'a Mutex<&'a mut ActivationStore>,
-}
-
-impl Linear for Recording<'_> {
-    const METRIC_PREFIX: &'static str = "moe";
-
-    fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        self.store.lock().expect("no recorder panics while holding the store").record(&self.name, x);
-        self.weight.forward(x)
-    }
-}
-
-/// Runs `forward` on a copy of the first `layers` layers of `model` in
-/// which every weight records its inputs into `store`.
-fn recording<T>(
-    model: &MoeModel,
-    layers: usize,
-    store: &mut ActivationStore,
-    forward: impl FnOnce(&MoeModel<Recording<'_>>) -> Result<T>,
-) -> Result<T> {
-    let store = Mutex::new(&mut *store);
-    let mut hooked = model.try_map(|name, _, weight| {
-        Ok::<_, MoeError>(Recording { name: name.to_string(), weight, store: &store })
-    })?;
-    // Layers past the last one of interest never run.
-    hooked.layers.truncate(layers);
-    forward(&hooked)
-}
-
-/// Runs the forward pass over `tokens`, recording every quantizable
-/// weight's input activations into `store`. Returns the logits, which
-/// are bit-identical to [`MoeModel::forward`]'s.
-///
-/// # Errors
-///
-/// Same failure modes as [`MoeModel::forward`].
-pub fn forward_capturing(
-    model: &MoeModel,
-    tokens: &[u32],
-    store: &mut ActivationStore,
-) -> Result<Matrix> {
-    recording(model, model.layers.len(), store, |m| m.forward(tokens))
-}
-
-/// Runs every sequence of `corpus` through the first `layers` layers,
-/// keeping at most `max_rows` rows per weight.
+/// Runs every sequence of `corpus` through the first `layers` layers of
+/// a tapped copy of `model`, keeping at most `max_rows` rows per weight.
 fn capture(
     model: &MoeModel,
     corpus: &[Vec<u32>],
     layers: usize,
     max_rows: usize,
 ) -> Result<HashMap<String, Matrix>> {
-    let mut store = ActivationStore::new(max_rows);
-    recording(model, layers, &mut store, |m| {
-        corpus.iter().try_for_each(|seq| m.forward(seq).map(drop))
-    })?;
-    Ok(store.into_matrices())
+    let store = Mutex::new(ActivationStore::new(max_rows));
+    let record = |name: &str, x: &Matrix| {
+        store.lock().expect("no recorder panics while holding the store").record(name, x);
+    };
+    let mut tapped = model.tapped(&record);
+    // Layers past the last one of interest never run.
+    tapped.layers.truncate(layers);
+    corpus.iter().try_for_each(|seq| tapped.forward(seq).map(drop))?;
+    Ok(store.into_inner().expect("no recorder panicked").into_matrices())
 }
 
 /// Captures activations for every quantizable weight by running the
@@ -162,10 +117,9 @@ pub fn capture_layer_activations(
     layer: usize,
     max_rows: usize,
 ) -> Result<HashMap<String, Matrix>> {
-    let prefix = format!("layer{layer}.");
     Ok(capture(model, corpus, layer + 1, max_rows)?
         .into_iter()
-        .filter(|(name, _)| name.starts_with(&prefix))
+        .filter(|(name, _)| layer_index(name) == layer)
         .collect())
 }
 
@@ -183,10 +137,12 @@ mod tests {
     fn capturing_forward_matches_plain_forward() {
         let m = model();
         let seq = [1u32, 5, 9, 2, 7, 30];
-        let mut store = ActivationStore::new(64);
-        let a = forward_capturing(&m, &seq, &mut store).unwrap();
+        let store = Mutex::new(ActivationStore::new(64));
+        let record = |name: &str, x: &Matrix| store.lock().unwrap().record(name, x);
+        let a = m.tapped(&record).forward(&seq).unwrap();
         let b = m.forward(&seq).unwrap();
         assert_eq!(a, b);
+        assert!(store.into_inner().unwrap().n_rows("layer0.attn.wq") > 0);
     }
 
     #[test]

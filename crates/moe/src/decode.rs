@@ -94,7 +94,7 @@ impl<P: Linear> MoeModel<P> {
     /// another depth or width, and [`MoeError::ExpertFailed`] for a
     /// panicking or non-finite expert.
     pub fn prefill(&self, tokens: &[u32], state: &mut DecodeState) -> Result<Vec<f32>> {
-        let logits = self.run(tokens, &ResilienceContext::strict(), state, None)?;
+        let logits = self.run(tokens, &ResilienceContext::strict(), state)?;
         Ok(logits.row(logits.rows() - 1).to_vec())
     }
 }

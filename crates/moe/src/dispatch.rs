@@ -4,9 +4,9 @@
 //! outputs back.
 //!
 //! [`MoeBlock::dispatch`] is generic over the model's [`Linear`]
-//! projection type, so the FP32 reference, the packed engine, and
-//! calibration capture share the routing, the panic isolation, the fault
-//! policy, and the telemetry.
+//! projection type, so the FP32 reference, the packed engine,
+//! calibration capture and expert-frequency profiling share the routing,
+//! the panic isolation, the fault policy, and the telemetry.
 
 use crate::health::{FaultKind, FaultMode, ResilienceContext};
 use crate::linear::Linear;
@@ -21,20 +21,17 @@ use std::time::{Duration, Instant};
 type Assignment = Vec<Vec<(usize, f32)>>;
 
 /// Routes every row of `x`, grouping the `(token, gate)` pairs by
-/// expert, and adds each route to `counts[expert]` when given.
+/// expert.
 ///
 /// # Errors
 ///
 /// Routing errors from [`Router::try_route`] (dimension mismatch,
 /// non-finite routing logits).
-fn assign(router: &Router, x: &Matrix, mut counts: Option<&mut [u64]>) -> Result<Assignment> {
+fn assign(router: &Router, x: &Matrix) -> Result<Assignment> {
     let mut assignment = vec![Vec::new(); router.n_experts()];
     for t in 0..x.rows() {
         for (e, gate) in router.try_route(x.row(t))? {
             assignment[e].push((t, gate));
-            if let Some(c) = counts.as_deref_mut() {
-                c[e] += 1;
-            }
         }
     }
     Ok(assignment)
@@ -62,8 +59,7 @@ fn scatter_add(out: &mut Matrix, y: &Matrix, toks: &[(usize, f32)]) {
 
 impl<P: Linear> MoeBlock<P> {
     /// Runs the block on a batch of token rows (`tokens × d`) as layer
-    /// `layer` of a model, adding each token's routes to `counts` when
-    /// given.
+    /// `layer` of a model.
     ///
     /// Routed experts (ledger index `e`) and shared experts (ledger index
     /// `n_experts + s`) run concurrently on the [`milo_tensor::pool`]
@@ -95,15 +91,9 @@ impl<P: Linear> MoeBlock<P> {
     /// Routing errors always propagate (a sick router poisons every
     /// expert, so there is nothing to degrade to); expert failures
     /// propagate only in strict mode.
-    pub fn dispatch(
-        &self,
-        x: &Matrix,
-        layer: usize,
-        ctx: &ResilienceContext,
-        counts: Option<&mut [u64]>,
-    ) -> Result<Matrix> {
+    pub fn dispatch(&self, x: &Matrix, layer: usize, ctx: &ResilienceContext) -> Result<Matrix> {
         let n_experts = self.experts.len();
-        let mut assignment = assign(&self.router, x, counts)?;
+        let mut assignment = assign(&self.router, x)?;
         let telemetry = milo_obs::enabled();
         if telemetry {
             record_routing(P::METRIC_PREFIX, layer, x.rows(), &assignment);
@@ -216,16 +206,10 @@ impl<P: Linear> FfnBlock<P> {
     ///
     /// The dense block's forward errors, or those of
     /// [`MoeBlock::dispatch`].
-    pub fn forward(
-        &self,
-        x: &Matrix,
-        layer: usize,
-        ctx: &ResilienceContext,
-        counts: Option<&mut [u64]>,
-    ) -> Result<Matrix> {
+    pub fn forward(&self, x: &Matrix, layer: usize, ctx: &ResilienceContext) -> Result<Matrix> {
         match self {
             FfnBlock::Dense(mlp) => mlp.forward(x),
-            FfnBlock::Moe(moe) => moe.dispatch(x, layer, ctx, counts),
+            FfnBlock::Moe(moe) => moe.dispatch(x, layer, ctx),
         }
     }
 }

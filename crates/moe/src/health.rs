@@ -312,28 +312,9 @@ impl HealthTracker {
         self.half_open_total.load(Ordering::Relaxed)
     }
 
-    /// Cumulative half-open → closed recoveries (successful probes;
-    /// [`reset`](HealthTracker::reset) is not counted).
+    /// Cumulative half-open → closed recoveries (successful probes).
     pub fn recovered_total(&self) -> usize {
         self.recovered_total.load(Ordering::Relaxed)
-    }
-
-    /// Force-closes the breaker for `(layer, expert)` regardless of
-    /// state, returning `true` if an entry was removed. This is the
-    /// operator override (and the half-open probe path's test hook); it
-    /// emits a `closed` transition when it actually clears something.
-    pub fn reset(&self, layer: usize, expert: usize) -> bool {
-        let mut map = self.entries.lock().expect("health tracker lock");
-        let removed = map.remove(&(layer, expert)).is_some();
-        self.n_entries.store(map.len(), Ordering::Relaxed);
-        drop(map);
-        if removed {
-            milo_obs::counter_inc("moe.breaker.reset.total");
-            if milo_obs::tracing() {
-                breaker_event(layer, expert, "closed");
-            }
-        }
-        removed
     }
 
     /// Number of non-closed experts (open or half-open).
@@ -566,25 +547,6 @@ mod tests {
         assert_eq!(h.state(0, 0), BreakerState::HalfOpen);
         // The first reason is still the sticky one.
         assert_eq!(h.failures()[0].1, "first failure");
-    }
-
-    #[test]
-    fn reset_force_closes_any_state() {
-        let h = HealthTracker::with_cooldown(5);
-        assert!(!h.reset(0, 7), "nothing to reset");
-        h.record(0, 7, "dead");
-        assert!(h.is_failed(0, 7));
-        assert!(h.reset(0, 7));
-        assert_eq!(h.state(0, 7), BreakerState::Closed);
-        assert_eq!(h.n_failed(), 0);
-        // Reset also clears a half-open probe window.
-        h.record(1, 1, "dead");
-        for _ in 0..5 {
-            h.tick();
-        }
-        assert_eq!(h.state(1, 1), BreakerState::HalfOpen);
-        assert!(h.reset(1, 1));
-        assert_eq!(h.state(1, 1), BreakerState::Closed);
     }
 
     #[test]

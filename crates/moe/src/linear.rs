@@ -4,7 +4,8 @@
 //! SwiGLU `w1/w2/w3` of dense and expert blocks — is a [`Linear`]. The
 //! FP32 reference uses a plain [`Matrix`]; the packed engine in
 //! `milo-engine` uses its INT3 projection with low-rank compensators;
-//! calibration capture wraps each weight in a recording projection.
+//! calibration capture and expert-frequency profiling wrap each weight
+//! in a tap, a projection that reports each input to an observer.
 //! Everything else (the layer loop, attention, SwiGLU, MoE dispatch)
 //! is written once against this trait.
 
@@ -34,5 +35,24 @@ impl Linear for Matrix {
 
     fn forward(&self, x: &Matrix) -> Result<Matrix> {
         Ok(x.matmul(&self.transpose())?)
+    }
+}
+
+/// A projection that reports each input, under the projection's name, to
+/// an observer before applying its weight: the forward hook of
+/// calibration capture and expert-frequency profiling (built by
+/// `MoeModel::tapped`).
+pub(crate) struct Tap<'a, P> {
+    pub(crate) name: String,
+    pub(crate) weight: &'a P,
+    pub(crate) observer: &'a (dyn Fn(&str, &Matrix) + Sync),
+}
+
+impl<P: Linear> Linear for Tap<'_, P> {
+    const METRIC_PREFIX: &'static str = P::METRIC_PREFIX;
+
+    fn forward(&self, x: &Matrix) -> Result<Matrix> {
+        (self.observer)(&self.name, x);
+        self.weight.forward(x)
     }
 }

@@ -5,7 +5,7 @@ use crate::attention::{rms_norm, Attention};
 use crate::config::MoeConfig;
 use crate::decode::DecodeState;
 use crate::health::ResilienceContext;
-use crate::linear::Linear;
+use crate::linear::{Linear, Tap};
 use crate::mlp::Mlp;
 use crate::router::Router;
 use crate::{MoeError, Result};
@@ -212,7 +212,7 @@ impl<P> MoeModel<P> {
     /// Builds a model of the same architecture whose every projection is
     /// `f(name, kind, projection)` — how compressed weights are
     /// substituted, the packed engine is built, and calibration capture
-    /// hooks every weight. Embeddings, routers, and the head are copied.
+    /// and expert-frequency profiling tap every weight. Embeddings, routers, and the head are copied.
     ///
     /// # Errors
     ///
@@ -245,25 +245,25 @@ impl<P> MoeModel<P> {
         out
     }
 
-    /// Empty per-layer expert-count buffers shaped for
-    /// [`MoeModel::forward_counting`].
-    pub fn fresh_counts(&self) -> Vec<Vec<u64>> {
-        self.layers
-            .iter()
-            .map(|l| match &l.ffn {
-                FfnBlock::Moe(moe) => vec![0u64; moe.experts.len()],
-                FfnBlock::Dense(_) => Vec::new(),
-            })
-            .collect()
+    /// A copy of the model whose every projection is a [`Tap`] reporting
+    /// its inputs, under its [`MoeModel::projections`] name, to
+    /// `observer`.
+    pub(crate) fn tapped<'a>(
+        &'a self,
+        observer: &'a (dyn Fn(&str, &Matrix) + Sync),
+    ) -> MoeModel<Tap<'a, P>> {
+        let Ok(tapped) = self.try_map(|name, _, weight| {
+            Ok::<_, std::convert::Infallible>(Tap { name: name.to_string(), weight, observer })
+        });
+        tapped
     }
 }
 
 impl<P: Linear> MoeModel<P> {
     /// Runs the model over a token sequence, returning per-position
     /// logits (`seq × vocab`). Position `i`'s logits predict token
-    /// `i + 1`. Optionally records expert activation counts per MoE
-    /// layer into `counts[layer][expert]`. Runs under a fresh
-    /// [`ResilienceContext::strict`], so a failing expert is an error.
+    /// `i + 1`. Runs under a fresh [`ResilienceContext::strict`], so a
+    /// failing expert is an error.
     ///
     /// # Errors
     ///
@@ -271,22 +271,8 @@ impl<P: Linear> MoeModel<P> {
     /// [`MoeError::InvalidInput`] for an empty sequence, and
     /// [`MoeError::ExpertFailed`] for a panicking or non-finite expert;
     /// and the projections' own errors.
-    pub fn forward_counting(
-        &self,
-        tokens: &[u32],
-        counts: Option<&mut Vec<Vec<u64>>>,
-    ) -> Result<Matrix> {
-        self.run(tokens, &ResilienceContext::strict(), &mut DecodeState::new(self), counts)
-    }
-
-    /// Runs the model over a token sequence, returning per-position
-    /// logits (`seq × vocab`).
-    ///
-    /// # Errors
-    ///
-    /// See [`MoeModel::forward_counting`].
     pub fn forward(&self, tokens: &[u32]) -> Result<Matrix> {
-        self.forward_counting(tokens, None)
+        self.run(tokens, &ResilienceContext::strict(), &mut DecodeState::new(self))
     }
 
     /// Fault-tolerant forward pass: a panicking or NaN-producing expert
@@ -298,14 +284,14 @@ impl<P: Linear> MoeModel<P> {
     ///
     /// # Errors
     ///
-    /// See [`MoeModel::forward_counting`]; also
+    /// See [`MoeModel::forward`]; also
     /// [`MoeError::Cancelled`] once the context is cancelled.
     pub fn forward_resilient(
         &self,
         tokens: &[u32],
         ctx: &ResilienceContext,
     ) -> Result<Matrix> {
-        self.run(tokens, ctx, &mut DecodeState::new(self), None)
+        self.run(tokens, ctx, &mut DecodeState::new(self))
     }
 
     /// Runs `tokens` as the positions following those cached in `state`
@@ -319,7 +305,6 @@ impl<P: Linear> MoeModel<P> {
         tokens: &[u32],
         ctx: &ResilienceContext,
         state: &mut DecodeState,
-        counts: Option<&mut Vec<Vec<u64>>>,
     ) -> Result<Matrix> {
         let _span = milo_obs::span(|| format!("{}.forward", P::METRIC_PREFIX));
         if tokens.is_empty() {
@@ -331,7 +316,7 @@ impl<P: Linear> MoeModel<P> {
         }
         state.check(self.layers.len(), self.config.d_model)?;
         let seen = state.len();
-        let logits = self.run_layers(tokens, ctx, state, counts);
+        let logits = self.run_layers(tokens, ctx, state);
         match logits {
             Ok(_) => state.seen += tokens.len(),
             Err(_) => state.truncate(seen),
@@ -345,7 +330,6 @@ impl<P: Linear> MoeModel<P> {
         tokens: &[u32],
         ctx: &ResilienceContext,
         state: &mut DecodeState,
-        mut counts: Option<&mut Vec<Vec<u64>>>,
     ) -> Result<Matrix> {
         let prefix = P::METRIC_PREFIX;
         let d = self.config.d_model;
@@ -369,8 +353,7 @@ impl<P: Linear> MoeModel<P> {
             x = x.add(&a)?;
             let f = {
                 let _span = milo_obs::span(|| format!("{prefix}.ffn"));
-                let slot = counts.as_deref_mut().map(|c| c[li].as_mut_slice());
-                layer.ffn.forward(&rms_norm(&x), li, ctx, slot)?
+                layer.ffn.forward(&rms_norm(&x), li, ctx)?
             };
             x = x.add(&f)?;
         }
@@ -455,7 +438,16 @@ pub fn sample_from_logits(logits: &[f32], temperature: f32, rng: &mut StdRng) ->
 mod tests {
     use super::*;
     use crate::health::FaultKind;
+    use crate::profile::profile_expert_frequency;
     use milo_tensor::{pool, stats};
+
+    /// The expert of `layer` that takes the most of `seq`'s routes, so an
+    /// injected fault there is guaranteed to fire.
+    fn busiest(m: &MoeModel, seq: &[u32], layer: usize) -> usize {
+        let profile = profile_expert_frequency(m, &[seq.to_vec()]).unwrap();
+        let freqs = &profile.per_layer[layer];
+        (0..freqs.len()).max_by(|&a, &b| freqs[a].total_cmp(&freqs[b])).unwrap()
+    }
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -493,19 +485,6 @@ mod tests {
         let m = MoeModel::synthesize(&MoeConfig::tiny_deepseek(), 2);
         assert!(matches!(m.layers[0].ffn, FfnBlock::Dense(_)));
         assert!(matches!(m.layers[1].ffn, FfnBlock::Moe(_)));
-    }
-
-    #[test]
-    fn expert_counts_accumulate_topk_per_token() {
-        let cfg = MoeConfig::tiny_mixtral();
-        let m = MoeModel::synthesize(&cfg, 3);
-        let mut counts = m.fresh_counts();
-        let seq = [0u32, 5, 9, 13, 21];
-        m.forward_counting(&seq, Some(&mut counts)).unwrap();
-        for layer_counts in counts.iter().filter(|c| !c.is_empty()) {
-            let total: u64 = layer_counts.iter().sum();
-            assert_eq!(total, (seq.len() * cfg.top_k) as u64);
-        }
     }
 
     #[test]
@@ -552,17 +531,13 @@ mod tests {
         {
             let m = MoeModel::synthesize(&cfg, seed);
             let seq: Vec<u32> = (0..16).map(|i| (i * 5) % cfg.vocab as u32).collect();
-            let mut serial_counts = m.fresh_counts();
-            let serial = pool::with_threads(1, || {
-                m.forward_counting(&seq, Some(&mut serial_counts)).unwrap()
-            });
+            let corpus = [seq.clone()];
+            let run = || (m.forward(&seq).unwrap(), profile_expert_frequency(&m, &corpus).unwrap());
+            let (serial, serial_profile) = pool::with_threads(1, run);
             for t in [2, 4, 7] {
-                let mut counts = m.fresh_counts();
-                let par = pool::with_threads(t, || {
-                    m.forward_counting(&seq, Some(&mut counts)).unwrap()
-                });
+                let (par, profile) = pool::with_threads(t, run);
                 assert_eq!(par.as_slice(), serial.as_slice(), "threads={t}");
-                assert_eq!(counts, serial_counts, "threads={t}");
+                assert_eq!(profile, serial_profile, "threads={t}");
             }
         }
     }
@@ -583,14 +558,7 @@ mod tests {
     fn nan_expert_degrades_to_finite_output_with_renormalized_mass() {
         let m = MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 14);
         let seq = [1u32, 4, 9, 16];
-        let mut counts = m.fresh_counts();
-        m.forward_counting(&seq, Some(&mut counts)).unwrap();
-        let busiest = counts[0]
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(e, _)| e)
-            .unwrap();
+        let busiest = busiest(&m, &seq, 0);
         let fault = crate::health::InjectedFault {
             layer: 0,
             expert: busiest,
@@ -621,9 +589,7 @@ mod tests {
     fn plain_forward_names_a_nan_expert_instead_of_returning_nan_logits() {
         let mut m = MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 14);
         let seq = [1u32, 4, 9, 16];
-        let mut counts = m.fresh_counts();
-        m.forward_counting(&seq, Some(&mut counts)).unwrap();
-        let busiest = (0..counts[1].len()).max_by_key(|&e| counts[1][e]).unwrap();
+        let busiest = busiest(&m, &seq, 1);
         let FfnBlock::Moe(moe) = &mut m.layers[1].ffn else { panic!("layer 1 is MoE") };
         moe.experts[busiest].w2.row_mut(0)[0] = f32::NAN;
         match m.forward(&seq) {
@@ -641,14 +607,7 @@ mod tests {
         let seq = [2u32, 7, 11];
         // Kill the busiest expert of layer 1 so the fault is guaranteed
         // to fire during dispatch.
-        let mut counts = m.fresh_counts();
-        m.forward_counting(&seq, Some(&mut counts)).unwrap();
-        let busiest = counts[1]
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(e, _)| e)
-            .unwrap();
+        let busiest = busiest(&m, &seq, 1);
         let fault =
             crate::health::InjectedFault { layer: 1, expert: busiest, kind: FaultKind::Panic };
 
@@ -681,14 +640,7 @@ mod tests {
         let cfg = MoeConfig::tiny_mixtral();
         let m = MoeModel::synthesize(&cfg, 16);
         let seq: Vec<u32> = (0..12).map(|i| (i * 3) % cfg.vocab as u32).collect();
-        let mut counts = m.fresh_counts();
-        m.forward_counting(&seq, Some(&mut counts)).unwrap();
-        let busiest = counts[0]
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(e, _)| e)
-            .unwrap();
+        let busiest = busiest(&m, &seq, 0);
         let ctx = ResilienceContext::degrade().with_fault(crate::health::InjectedFault {
             layer: 0,
             expert: busiest,

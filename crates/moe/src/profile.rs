@@ -8,7 +8,12 @@
 //! policy.
 
 use crate::model::{FfnBlock, MoeModel};
+use crate::tensors::layer_index;
 use crate::Result;
+use milo_core::LayerKind;
+use milo_tensor::Matrix;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Per-layer, per-expert activation frequencies. Layers without routed
 /// experts (dense FFN layers) have an empty row.
@@ -65,26 +70,51 @@ pub fn profile_expert_frequency(
     model: &MoeModel,
     corpus: &[Vec<u32>],
 ) -> Result<FrequencyProfile> {
-    let mut counts = model.fresh_counts();
-    for seq in corpus {
-        model.forward_counting(seq, Some(&mut counts))?;
-    }
-    let per_layer = counts
+    let per_layer = expert_counts(model, corpus)?
         .into_iter()
-        .zip(&model.layers)
-        .map(|(layer_counts, layer)| match &layer.ffn {
-            FfnBlock::Dense(_) => Vec::new(),
-            FfnBlock::Moe(_) => {
-                let total: u64 = layer_counts.iter().sum();
-                if total == 0 {
-                    vec![0.0; layer_counts.len()]
-                } else {
-                    layer_counts.iter().map(|&c| c as f32 / total as f32).collect()
-                }
+        .map(|layer_counts| {
+            let total: u64 = layer_counts.iter().sum();
+            if total == 0 {
+                vec![0.0; layer_counts.len()]
+            } else {
+                layer_counts.iter().map(|&c| c as f32 / total as f32).collect()
             }
         })
         .collect();
     Ok(FrequencyProfile { per_layer })
+}
+
+/// `counts[layer][expert]`: the token routes each routed expert took
+/// over the corpus (an empty row for a dense layer). Counted on a tapped
+/// copy of the model: a routed expert's `w1` sees exactly the rows
+/// routed to it.
+fn expert_counts(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<Vec<Vec<u64>>> {
+    let counts: Vec<Vec<u64>> = (model.layers.iter())
+        .map(|l| match &l.ffn {
+            FfnBlock::Moe(moe) => vec![0; moe.experts.len()],
+            FfnBlock::Dense(_) => Vec::new(),
+        })
+        .collect();
+    let mut w1s = HashMap::new();
+    for (name, kind, w) in model.projections() {
+        let LayerKind::Expert { index } = kind else { continue };
+        let layer = layer_index(&name);
+        if let FfnBlock::Moe(moe) = &model.layers[layer].ffn {
+            if std::ptr::eq(w, &moe.experts[index].w1) {
+                w1s.insert(name, (layer, index));
+            }
+        }
+    }
+    let counts = Mutex::new(counts);
+    let count = |name: &str, x: &Matrix| {
+        if let Some(&(layer, expert)) = w1s.get(name) {
+            let mut counts = counts.lock().expect("no counter panics while holding the counts");
+            counts[layer][expert] += x.rows() as u64;
+        }
+    };
+    let tapped = model.tapped(&count);
+    corpus.iter().try_for_each(|seq| tapped.forward(seq).map(drop))?;
+    Ok(counts.into_inner().expect("no counter panicked"))
 }
 
 #[cfg(test)]
@@ -98,6 +128,19 @@ mod tests {
         (0..n)
             .map(|_| (0..len).map(|_| rng.gen_range(0..vocab as u32)).collect())
             .collect()
+    }
+
+    #[test]
+    fn expert_counts_accumulate_topk_per_token() {
+        let cfg = MoeConfig::tiny_deepseek();
+        let m = MoeModel::synthesize(&cfg, 3);
+        let corpus = [vec![0u32, 5, 9, 13, 21], vec![2, 4]];
+        let counts = expert_counts(&m, &corpus).unwrap();
+        assert!(counts[0].is_empty(), "layer 0 is dense");
+        for layer_counts in &counts[1..] {
+            let total: u64 = layer_counts.iter().sum();
+            assert_eq!(total, (7 * cfg.top_k) as u64);
+        }
     }
 
     #[test]

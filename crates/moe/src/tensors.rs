@@ -15,7 +15,7 @@ use milo_tensor::{stats, Matrix};
 use std::collections::HashMap;
 
 /// Extracts the layer index from a tensor name (`"layer{i}. ..."`).
-fn layer_index(name: &str) -> usize {
+pub(crate) fn layer_index(name: &str) -> usize {
     name.strip_prefix("layer")
         .and_then(|rest| rest.split('.').next())
         .and_then(|n| n.parse().ok())

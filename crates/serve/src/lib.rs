@@ -34,7 +34,15 @@
 //! Fault-free serving is *bit-identical* to calling the model's
 //! `forward_resilient` directly: admission, deadlines, and breakers only
 //! ever reject, cancel, or re-run a request — they never perturb the
-//! arithmetic of a successful forward pass.
+//! arithmetic of a successful forward pass. A [`Response`] carries the
+//! logits of every position of the request (`tokens × vocab`).
+//!
+//! The server has no fault-injection API: each attempt gets a fresh
+//! [`ResilienceContext`](milo_moe::ResilienceContext) holding the
+//! request's mode, cancel token and the shared breakers. Drills and the
+//! chaos soak inject expert faults by serving the model behind
+//! `milo_faults::FaultInjector`, a [`ForwardModel`] that adds the
+//! currently armed faults to each call's context.
 
 #![warn(missing_docs)]
 

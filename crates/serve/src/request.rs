@@ -47,7 +47,8 @@ impl Request {
 pub struct Response {
     /// Server-assigned request id (admission order).
     pub id: u64,
-    /// Final-position logits matrix from the forward pass.
+    /// Logits of every position of the request, `tokens × vocab`: the
+    /// forward pass's whole output matrix.
     pub logits: Matrix,
     /// Number of forward attempts (1 = no retries).
     pub attempts: u32,

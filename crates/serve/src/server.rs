@@ -31,9 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use milo_moe::{
-    FaultMode, HealthTracker, InjectedFault, Linear, MoeError, MoeModel, ResilienceContext,
-};
+use milo_moe::{FaultMode, HealthTracker, Linear, MoeError, MoeModel, ResilienceContext};
 use milo_tensor::pool;
 use milo_tensor::prng::SeedableRng;
 use milo_tensor::rng::StdRng;
@@ -51,8 +49,10 @@ pub use milo_moe::MoeError as ForwardError;
 ///
 /// Implemented for [`milo_moe::MoeModel`] over any projection type — the
 /// dense reference and, through [`milo_engine::PackedMoeModel`], the
-/// deployment backend — and for closures, so tests and the soak driver
-/// can script failures without a real model. The server classifies the
+/// deployment backend — and for closures, so tests can script failures
+/// without a real model. Injected expert faults arrive the same way: the
+/// soak and the serving drills put `milo_faults::FaultInjector` in front
+/// of the packed model. The server classifies the
 /// [`MoeError`]: `ExpertFailed` is retried, `Cancelled` is a deadline
 /// error, anything else fails the request as [`ServeError::Model`].
 pub trait ForwardModel: Send + Sync {
@@ -175,7 +175,6 @@ struct Shared {
     /// Wakes idle workers when a request is queued or the ledger closes.
     work: Condvar,
     health: Arc<HealthTracker>,
-    faults: Mutex<Vec<InjectedFault>>,
     next_id: AtomicU64,
     stats: Counters,
 }
@@ -207,7 +206,6 @@ impl Server {
             }),
             work: Condvar::new(),
             health: Arc::new(HealthTracker::with_cooldown(cfg.breaker_cooldown)),
-            faults: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             stats: Counters::default(),
             cfg,
@@ -264,17 +262,6 @@ impl Server {
         milo_obs::gauge_set("serve.queue.depth", (depth + 1) as f64);
         milo_obs::counter_inc("serve.admitted.total");
         Ok(Ticket { inner: inflight })
-    }
-
-    /// Replaces the injected fault set consulted by subsequent
-    /// requests (soak drivers flip faults on and off mid-run).
-    pub fn set_faults(&self, faults: Vec<InjectedFault>) {
-        *self.shared.faults.lock().unwrap() = faults;
-    }
-
-    /// Clears all injected faults.
-    pub fn clear_faults(&self) {
-        self.shared.faults.lock().unwrap().clear();
     }
 
     /// The shared circuit-breaker ledger.
@@ -407,10 +394,6 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
             Arc::clone(&shared.health),
         )
         .with_cancel(inflight.cancel.clone());
-        let ctx = ResilienceContext {
-            injected: shared.faults.lock().unwrap().clone(),
-            ..ctx
-        };
         match shared.model.forward(&inflight.tokens, &ctx) {
             Ok(logits) => {
                 return Ok(Response {

@@ -10,7 +10,8 @@
 #    bench that no later step compiles.
 # 3. Smoke-runs the gemm bench in quick mode (MILO_BENCH_QUICK=1) and
 #    checks the recorded baseline `results/BENCH_gemm_threads.json` is
-#    emitted and is well-formed JSON. With MILO_BENCH_JSON pointing at
+#    emitted, is well-formed JSON and carries its derived
+#    `speedup_bs16_threads4_vs_threads1`. With MILO_BENCH_JSON pointing at
 #    the smoke directory, the harness's own `gemm.json` must parse too.
 # 4. Fault-injection smoke: runs the corruption fuzz + recovery-path
 #    drills under a fixed MILO_FAULT_SEED, and exercises `milo-cli check`
@@ -117,6 +118,7 @@ for key in ("baseline", "host_threads", "derived"):
     assert key in doc, f"missing key: {key}"
 assert doc["baseline"]["suite"] == "BENCH_gemm_threads"
 assert doc["baseline"]["results"], "baseline has no results"
+assert "speedup_bs16_threads4_vs_threads1" in doc["derived"], "missing derived speedup"
 suite = json.load(open(sys.argv[2]))
 assert suite["suite"] == "gemm", f"unexpected suite: {suite.get('suite')}"
 assert suite["results"], "gemm suite has no results"
@@ -125,7 +127,7 @@ else
     # Fallback without python3: sanity-grep the structure.
     grep -q '"suite":"BENCH_gemm_threads"' "$smoke_json"
     grep -q '"host_threads":' "$smoke_json"
-    grep -q '"derived":' "$smoke_json"
+    grep -q '"derived":{"speedup_bs16_threads4_vs_threads1":' "$smoke_json"
     grep -q '"suite":"gemm"' "$suite_json"
 fi
 echo "ok: quick-mode gemm bench emitted a well-formed threads baseline and suite JSON"

@@ -16,7 +16,9 @@
 use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
 use milo_faults::{corrupt_samples, fault_rng, kill_expert, poison_expert, truncation_points};
-use milo_moe::{layer_tensors, MoeConfig, MoeError, MoeModel, ResilienceContext};
+use milo_moe::{
+    layer_tensors, profile_expert_frequency, MoeConfig, MoeError, MoeModel, ResilienceContext,
+};
 use milo_quant::HqqOptions;
 use std::io::Cursor;
 
@@ -44,14 +46,9 @@ fn toy_model() -> MoeModel {
 /// The expert of `layer` that receives the most tokens for `seq`, so an
 /// injected fault there is guaranteed to fire.
 fn busiest_expert(model: &MoeModel, seq: &[u32], layer: usize) -> usize {
-    let mut counts = model.fresh_counts();
-    model.forward_counting(seq, Some(&mut counts)).unwrap();
-    counts[layer]
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &c)| c)
-        .map(|(e, _)| e)
-        .unwrap()
+    let profile = profile_expert_frequency(model, &[seq.to_vec()]).unwrap();
+    let freqs = &profile.per_layer[layer];
+    (0..freqs.len()).max_by(|&a, &b| freqs[a].total_cmp(&freqs[b])).unwrap()
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
-use milo_faults::{kill_expert, slow_expert};
+use milo_faults::{kill_expert, slow_expert, FaultInjector};
 use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeModel};
 use milo_quant::HqqOptions;
 use milo_serve::{
@@ -22,8 +22,9 @@ use milo_serve::{
 };
 
 /// A real 2-layer packed model (the same compress → pack pipeline the
-/// CLI runs), small enough that a clean forward is well under 1 ms.
-fn packed_model(seed: u64) -> (Arc<PackedMoeModel>, MoeConfig) {
+/// CLI runs), small enough that a clean forward is well under 1 ms,
+/// behind a fault injector with nothing armed.
+fn packed_model(seed: u64) -> (Arc<FaultInjector<PackedMoeModel>>, MoeConfig) {
     let cfg = MoeConfig::tiny_mixtral();
     let reference = MoeModel::synthesize(&cfg, seed);
     let tensors = layer_tensors(&reference, None);
@@ -35,7 +36,7 @@ fn packed_model(seed: u64) -> (Arc<PackedMoeModel>, MoeConfig) {
     let compressed =
         compress_model(&tensors, &RankPolicy::uniform(2), &opts, 2).unwrap();
     let packed = PackedMoeModel::build(&reference, &compressed).unwrap();
-    (Arc::new(packed), cfg)
+    (Arc::new(FaultInjector::new(packed)), cfg)
 }
 
 fn tokens(cfg: &MoeConfig, n: usize, salt: u64) -> Vec<u32> {
@@ -62,7 +63,8 @@ fn zero_length_deadline_is_rejected_at_admission() {
     // The rejection must not consume queue or worker capacity: a normal
     // request right after still completes.
     let resp = server.submit(Request::new(tokens(&cfg, 4, 1))).unwrap().wait();
-    assert!(resp.is_ok(), "server unusable after InvalidDeadline: {resp:?}");
+    let resp = resp.expect("server unusable after InvalidDeadline");
+    assert_eq!(resp.logits.shape(), (4, cfg.vocab), "logits hold every position");
     let stats = server.shutdown();
     assert_eq!(stats.admitted, 1, "invalid request must not count as admitted");
 }
@@ -71,7 +73,7 @@ fn zero_length_deadline_is_rejected_at_admission() {
 fn deadline_mid_layer_names_the_layer_it_died_at() {
     let (model, cfg) = packed_model(12);
     let server = Server::start(
-        model,
+        model.clone(),
         ServerConfig {
             workers: 1,
             retry: RetryPolicy::none(),
@@ -82,7 +84,7 @@ fn deadline_mid_layer_names_the_layer_it_died_at() {
     // cancellation token trips during the sleep and the engine exits at
     // the next layer boundary — so the error names a mid-model stage,
     // not the queue.
-    server.set_faults(slow_layer0(&cfg, 400));
+    model.arm(slow_layer0(&cfg, 400));
     let err = server
         .submit(
             Request::new(tokens(&cfg, 4, 2)).with_deadline(Duration::from_millis(40)),
@@ -103,7 +105,7 @@ fn deadline_mid_layer_names_the_layer_it_died_at() {
 fn retry_budget_exhausted_is_a_distinct_typed_error() {
     let (model, cfg) = packed_model(13);
     let server = Server::start(
-        model,
+        model.clone(),
         ServerConfig {
             workers: 1,
             retry: RetryPolicy {
@@ -118,7 +120,7 @@ fn retry_budget_exhausted_is_a_distinct_typed_error() {
     // (strict requests do not quarantine, so the fault never routes
     // around itself); the third failure must surface as
     // RetriesExhausted, not as the raw expert error.
-    server.set_faults(vec![kill_expert(0, 0), kill_expert(0, 1), kill_expert(0, 2), kill_expert(0, 3)]);
+    model.arm(vec![kill_expert(0, 0), kill_expert(0, 1), kill_expert(0, 2), kill_expert(0, 3)]);
     let err = server
         .submit(Request::new(tokens(&cfg, 4, 3)).with_mode(FaultMode::Strict))
         .unwrap()
@@ -142,7 +144,7 @@ fn retry_budget_exhausted_is_a_distinct_typed_error() {
 fn overload_is_a_typed_rejection_and_queue_stays_bounded() {
     let (model, cfg) = packed_model(14);
     let server = Server::start(
-        model,
+        model.clone(),
         ServerConfig {
             workers: 1,
             queue_capacity: 2,
@@ -153,7 +155,7 @@ fn overload_is_a_typed_rejection_and_queue_stays_bounded() {
     // Pin the single worker on a slow layer-0 dispatch, then flood: at
     // most 1 running + 2 queued can be in flight, so the burst must see
     // typed Overloaded rejections — never blocking, never unbounded.
-    server.set_faults(slow_layer0(&cfg, 150));
+    model.arm(slow_layer0(&cfg, 150));
     let mut accepted = Vec::new();
     let mut rejected = 0usize;
     for i in 0..10 {
@@ -179,7 +181,7 @@ fn overload_is_a_typed_rejection_and_queue_stays_bounded() {
 fn breaker_walks_open_half_open_closed_under_served_traffic() {
     let (model, cfg) = packed_model(15);
     let server = Server::start(
-        model,
+        model.clone(),
         ServerConfig {
             workers: 1,
             breaker_cooldown: 4,
@@ -190,7 +192,7 @@ fn breaker_walks_open_half_open_closed_under_served_traffic() {
     // (quarantine), then — with the fault cleared — cooldown ticks
     // accumulate one per served request until a half-open probe closes
     // it again. All observed through the server's shared tracker.
-    server.set_faults(vec![kill_expert(1, 0)]);
+    model.arm(vec![kill_expert(1, 0)]);
     for i in 0..8 {
         server
             .submit(Request::new(tokens(&cfg, 6, 20 + i)))
@@ -202,7 +204,7 @@ fn breaker_walks_open_half_open_closed_under_served_traffic() {
     assert!(health.trips_total() >= 1, "killed expert never tripped its breaker");
     assert!(health.n_failed() >= 1, "expert should be quarantined while faulted");
 
-    server.clear_faults();
+    model.disarm();
     for i in 0..32 {
         server
             .submit(Request::new(tokens(&cfg, 6, 60 + i)))
