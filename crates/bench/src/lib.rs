@@ -38,7 +38,7 @@ impl Setup {
     /// Builds the setup from parsed flags.
     ///
     /// Three sizes, tuned for the machine this reproduction targets
-    /// (single-core CPU):
+    /// (a 2-vCPU CPU host):
     /// * default — half-scale models, 6 layers: every experiment finishes
     ///   in minutes while preserving all orderings;
     /// * `--fast` — smoke-test size;

@@ -8,7 +8,7 @@
 //! overhead further.
 
 use crate::{MiloError, Result};
-use milo_quant::{symmetric_quantize, QuantConfig, QuantizedMatrix, Scheme};
+use milo_quant::{symmetric_quantize, QuantConfig, QuantizedMatrix};
 use milo_tensor::linalg::truncated_svd;
 use milo_tensor::Matrix;
 
@@ -186,19 +186,10 @@ impl Compensator {
     }
 }
 
-/// Default compensator quantization: symmetric INT3, group 64 (Eq. 15).
-pub fn default_compensator_config() -> QuantConfig {
-    QuantConfig::int3_sym()
-}
-
-/// Symmetric INT8, group 64 — the Table 6 comparison point.
-pub fn int8_compensator_config() -> QuantConfig {
-    QuantConfig::new(8, 64, Scheme::Symmetric).expect("static config is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use milo_quant::Scheme;
     use milo_tensor::linalg::jacobi_svd;
     use milo_tensor::rng::WeightDist;
     use milo_tensor::rng::SeedableRng;
@@ -272,7 +263,7 @@ mod tests {
     fn quantized_compensator_is_smaller_and_close() {
         let e = residual(64, 64, 8);
         let c = LowRankCompensator::fit(&e, 8, 0).unwrap();
-        let q = c.quantize(&default_compensator_config()).unwrap();
+        let q = c.quantize(&QuantConfig::int3_sym()).unwrap();
         assert!(q.memory_bytes() < c.memory_bytes());
         // INT3 quantization of the factors should keep the compensator
         // useful: applying it still reduces the residual.
@@ -284,8 +275,8 @@ mod tests {
     fn int3_uses_about_three_eighths_of_int8() {
         let e = residual(128, 128, 9);
         let c = LowRankCompensator::fit(&e, 16, 0).unwrap();
-        let q3 = c.quantize(&default_compensator_config()).unwrap();
-        let q8 = c.quantize(&int8_compensator_config()).unwrap();
+        let q3 = c.quantize(&QuantConfig::int3_sym()).unwrap();
+        let q8 = c.quantize(&QuantConfig::new(8, 64, Scheme::Symmetric).unwrap()).unwrap();
         let ratio = q3.memory_bytes() as f32 / q8.memory_bytes() as f32;
         // Paper Table 6: INT3 compensators use 37.5% of INT8 memory for
         // the weights; the shared per-group scale overhead (relatively
@@ -302,7 +293,7 @@ mod tests {
         let as_enum = Compensator::Fp16(c.clone());
         assert_eq!(as_enum.rank(), 2);
         assert_eq!(as_enum.to_dense(), dense);
-        let q = Compensator::Quantized(c.quantize(&default_compensator_config()).unwrap());
+        let q = Compensator::Quantized(c.quantize(&QuantConfig::int3_sym()).unwrap());
         assert_eq!(q.rank(), 2);
         assert!(q.memory_bytes() < as_enum.memory_bytes());
     }

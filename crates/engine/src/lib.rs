@@ -17,10 +17,10 @@
 //!
 //! Weights that violate the kernel's constraints — 3-bit codes, tile
 //! shape, group size 64 (the paper's kernel has the same restrictions) —
-//! transparently
-//! fall back to a dense path built from the same de-quantized values, so
-//! the engine runs any model while using the packed kernel wherever it
-//! legally can. Every failure is a [`milo_moe::MoeError`], the one error
+//! transparently fall back to a dense FP32 path: the FP32 de-quantized
+//! weights `scale·(q − z)` times unrounded FP32 activations, with no FP16
+//! rounding on either side. The engine so runs any model while using the
+//! packed kernel wherever it legally can. Every failure is a [`milo_moe::MoeError`], the one error
 //! of model execution.
 
 #![warn(missing_docs)]

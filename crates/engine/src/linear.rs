@@ -13,9 +13,10 @@ use milo_tensor::{Matrix, TensorError};
 enum Storage {
     /// Zero-waste packed INT3 plus the tile shape the kernel runs with.
     Packed(PackedMatrix, GemmKernel),
-    /// Dense fallback (FP16-rounded de-quantized values) for weights the
-    /// kernel rejects — kept transposed (`in × out`) so the hot loop is a
-    /// plain row-major GEMM.
+    /// Dense fallback for weights the kernel rejects: the FP32
+    /// de-quantized values `scale·(q − z)`, multiplied against unrounded
+    /// FP32 activations — kept transposed (`in × out`) so the hot loop is
+    /// a plain row-major GEMM.
     Dense(Matrix),
 }
 

@@ -1,8 +1,7 @@
 //! A small in-repo microbenchmark harness.
 //!
 //! Replaces the external `criterion` crate for the hermetic workspace.
-//! Built on the wall-clock primitives in [`crate::timing`]: each
-//! benchmark is warmed up, its per-iteration cost is estimated, and then
+//! Each benchmark is warmed up, its per-iteration cost is estimated, and then
 //! a fixed number of samples (each a timed batch of iterations) is
 //! collected. The reported statistic is the **median** per-iteration
 //! time, which is robust to scheduler noise; min/mean/max are kept for
@@ -28,7 +27,6 @@
 //! assert!(results[0].median_ns > 0.0);
 //! ```
 
-use crate::timing::time_it;
 use milo_obs::json::JsonValue;
 use std::time::{Duration, Instant};
 
@@ -243,27 +241,6 @@ impl Harness {
     pub fn suite(&self) -> &str {
         &self.suite
     }
-
-    /// Measures a one-shot (non-repeatable) operation under `name` using
-    /// [`time_it`], recording a single sample. Useful for setup-heavy
-    /// operations like whole-model synthesis where batching is
-    /// unnecessary.
-    pub fn bench_once<T>(&mut self, name: impl Into<String>, f: impl FnOnce() -> T) -> T {
-        let name = name.into();
-        let (out, secs) = time_it(f);
-        let ns = secs * 1e9;
-        println!("{:<44} single {:>12}", name, format_ns(ns));
-        self.results.push(BenchResult {
-            name,
-            median_ns: ns,
-            mean_ns: ns,
-            min_ns: ns,
-            max_ns: ns,
-            iters_per_sample: 1,
-            samples: 1,
-        });
-        out
-    }
 }
 
 fn format_ns(ns: f64) -> String {
@@ -318,22 +295,12 @@ mod tests {
     #[test]
     fn json_escapes_suite_and_bench_names() {
         let mut h = Harness::with_config("s\"uite", quick());
-        h.bench_once("a\"b\\c", || ());
+        h.bench_function("a\"b\\c", |b| b.iter(|| ()));
         let doc = milo_obs::json::parse(&h.to_json().render()).expect("harness JSON parses");
         assert_eq!(doc.get("suite").and_then(JsonValue::as_str), Some("s\"uite"));
         let row = &doc.get("results").and_then(JsonValue::as_array).expect("results")[0];
         assert_eq!(row.get("name").and_then(JsonValue::as_str), Some("a\"b\\c"));
-        assert_eq!(row.get("samples").and_then(JsonValue::as_number), Some(1.0));
-    }
-
-    #[test]
-    fn bench_once_records_single_sample_and_returns_output() {
-        let mut h = Harness::with_config("unit", quick());
-        let v = h.bench_once("setup", || vec![1, 2, 3]);
-        assert_eq!(v, vec![1, 2, 3]);
-        let rs = h.finish();
-        assert_eq!(rs[0].samples, 1);
-        assert_eq!(rs[0].iters_per_sample, 1);
+        assert_eq!(row.get("samples").and_then(JsonValue::as_number), Some(5.0));
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl MethodResult {
     pub fn score(&self, task: &str) -> Option<f32> {
         self.task_scores.iter().find(|(n, _)| n == task).map(|&(_, s)| s)
     }
-
-    /// Memory in gigabytes (the unit the paper's tables use).
-    pub fn memory_gb(&self) -> f64 {
-        self.memory_bytes as f64 / (1u64 << 30) as f64
-    }
 }
 
 /// A shared evaluation context: the teacher corpus and prepared tasks,
@@ -119,27 +114,6 @@ impl EvalContext {
     }
 }
 
-/// Evaluates `candidate` against the FP16 `reference`: perplexity on a
-/// teacher-sampled corpus plus the five proxy tasks.
-///
-/// When comparing several methods, build one [`EvalContext`] and call
-/// [`EvalContext::evaluate`] per method instead — this convenience
-/// re-prepares the context each time.
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn evaluate_method(
-    name: impl Into<String>,
-    reference: &MoeModel,
-    candidate: &MoeModel,
-    memory_bytes: usize,
-    quant_seconds: f64,
-    cfg: &EvalConfig,
-) -> Result<MethodResult> {
-    EvalContext::prepare(reference, cfg)?.evaluate(name, candidate, memory_bytes, quant_seconds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +122,8 @@ mod tests {
     #[test]
     fn reference_evaluates_perfectly_on_tasks() {
         let m = MoeModel::synthesize(&MoeConfig::tiny_mixtral(), 1);
-        let r = evaluate_method("FP16", &m, &m, 0, 0.0, &EvalConfig::tiny()).unwrap();
+        let ctx = EvalContext::prepare(&m, &EvalConfig::tiny()).unwrap();
+        let r = ctx.evaluate("FP16", &m, 0, 0.0).unwrap();
         assert_eq!(r.zero_shot_avg(), 100.0);
         assert_eq!(r.score("MMLU"), Some(100.0));
         assert!(r.ppl.is_finite());
@@ -162,15 +137,15 @@ mod tests {
             layer.attn.wq = layer.attn.wq.scale(0.1);
             layer.attn.wk = layer.attn.wk.scale(3.0);
         }
-        let cfg = EvalConfig::tiny();
-        let good = evaluate_method("FP16", &m, &m, 0, 0.0, &cfg).unwrap();
-        let worse = evaluate_method("bad", &m, &bad, 0, 0.0, &cfg).unwrap();
+        let ctx = EvalContext::prepare(&m, &EvalConfig::tiny()).unwrap();
+        let good = ctx.evaluate("FP16", &m, 0, 0.0).unwrap();
+        let worse = ctx.evaluate("bad", &bad, 0, 0.0).unwrap();
         assert!(worse.ppl > good.ppl);
         assert!(worse.zero_shot_avg() < good.zero_shot_avg());
     }
 
     #[test]
-    fn memory_gb_conversion() {
+    fn result_without_tasks_has_no_scores() {
         let r = MethodResult {
             name: "x".into(),
             memory_bytes: 1 << 30,
@@ -178,7 +153,6 @@ mod tests {
             task_scores: vec![],
             quant_seconds: 0.0,
         };
-        assert!((r.memory_gb() - 1.0).abs() < 1e-9);
         assert_eq!(r.zero_shot_avg(), 0.0);
         assert_eq!(r.score("nope"), None);
     }

@@ -20,7 +20,7 @@
 //!   Table 1 / Fig. 8).
 //! * [`bench`](mod@bench) — a median-of-N microbenchmark harness (warmup, batch
 //!   calibration, JSON output) replacing the external `criterion` crate.
-//! * [`report`] — aligned text tables and CSV; JSON records are built as
+//! * [`report`] — aligned text tables; JSON records are built as
 //!   [`milo_obs::json::JsonValue`]s.
 //! * [`harness`] — method-level orchestration producing the rows of the
 //!   paper's evaluation tables.
@@ -28,15 +28,13 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod ci;
 pub mod harness;
 pub mod ppl;
 pub mod report;
 pub mod tasks;
 pub mod timing;
 
-pub use ci::{perplexity_ci, Bootstrap};
-pub use harness::{evaluate_method, EvalConfig, EvalContext, MethodResult};
+pub use harness::{EvalConfig, EvalContext, MethodResult};
 pub use ppl::{generate_corpus, perplexity};
 pub use report::Table;
 pub use tasks::{task_suite, PreparedTask, Task, TaskKind};

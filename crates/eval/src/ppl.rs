@@ -66,13 +66,7 @@ pub fn perplexity(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<f32> {
 /// Per-sequence negative-log-likelihood contributions
 /// `(sum NLL, prediction count)`, one forward pass per sequence, in
 /// parallel. A sequence shorter than two tokens contributes `(0.0, 0)`.
-/// This is both the sum behind [`perplexity`] and the resampling unit of
-/// [`perplexity_ci`](crate::ci::perplexity_ci).
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn per_sequence_nll(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<Vec<(f64, usize)>> {
+fn per_sequence_nll(model: &MoeModel, corpus: &[Vec<u32>]) -> Result<Vec<(f64, usize)>> {
     let results = par_map(corpus.len(), |s| -> Result<(f64, usize)> {
         let seq = &corpus[s];
         if seq.len() < 2 {

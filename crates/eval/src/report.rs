@@ -1,6 +1,6 @@
 //! Report rendering: aligned text tables (the experiment binaries print
-//! the same rows the paper's tables report) and CSV. Machine-readable
-//! records are built as [`milo_obs::json::JsonValue`]s.
+//! the same rows the paper's tables report). Machine-readable records
+//! are built as [`milo_obs::json::JsonValue`]s.
 
 use std::fmt::Write as _;
 
@@ -61,26 +61,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (naive quoting: commas in cells are
-    /// wrapped in double quotes).
-    pub fn to_csv(&self) -> String {
-        let quote = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| quote(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -105,12 +85,5 @@ mod tests {
         let mut t = Table::new(["a", "b", "c"]);
         t.push_row(["1"]);
         assert!(t.render().contains('1'));
-    }
-
-    #[test]
-    fn csv_quotes_commas() {
-        let mut t = Table::new(["name", "note"]);
-        t.push_row(["x", "a,b"]);
-        assert!(t.to_csv().contains("\"a,b\""));
     }
 }

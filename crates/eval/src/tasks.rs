@@ -209,16 +209,6 @@ impl PreparedTask {
     }
 }
 
-/// One-shot convenience: prepare the task on `reference` and score
-/// `candidate`, returning accuracy in percent.
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn run_task(task: &Task, reference: &MoeModel, candidate: &MoeModel) -> Result<f32> {
-    PreparedTask::prepare(task, reference)?.score(candidate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +230,7 @@ mod tests {
     fn reference_scores_100_against_itself() {
         let m = model(1);
         for task in task_suite(5) {
-            let acc = run_task(&task, &m, &m).unwrap();
+            let acc = PreparedTask::prepare(&task, &m).unwrap().score(&m).unwrap();
             assert_eq!(acc, 100.0, "{}", task.name);
         }
     }
@@ -256,7 +246,7 @@ mod tests {
             n_prompts: 60,
             seed: 7,
         };
-        let acc = run_task(&task, &a, &b).unwrap();
+        let acc = PreparedTask::prepare(&task, &a).unwrap().score(&b).unwrap();
         // Chance is 50%; a completely unrelated model should be in a wide
         // band around it.
         assert!(acc > 20.0 && acc < 80.0, "accuracy {acc}");
@@ -276,16 +266,6 @@ mod tests {
             acc_pert > acc_unrel,
             "perturbed {acc_pert} should beat unrelated {acc_unrel}"
         );
-    }
-
-    #[test]
-    fn prepared_task_scores_match_run_task() {
-        let a = model(4);
-        let mut b = a.clone();
-        b.layers[0].attn.wo = b.layers[0].attn.wo.scale(1.1);
-        let task = &task_suite(10)[2];
-        let prepared = PreparedTask::prepare(task, &a).unwrap();
-        assert_eq!(prepared.score(&b).unwrap(), run_task(task, &a, &b).unwrap());
     }
 
     #[test]

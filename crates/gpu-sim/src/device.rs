@@ -39,39 +39,6 @@ impl Device {
             vram_bytes: 40 * (1u64 << 30),
         }
     }
-
-    /// An NVIDIA A100-80GB: same compute as the 40 GB part, ~2039 GB/s
-    /// HBM2e, double the memory. (The paper evaluates on the 40 GB part;
-    /// this preset lets the latency experiments ask "would FP16 fit?")
-    pub fn a100_80gb() -> Self {
-        Self {
-            mem_bw: 2039e9 * 0.85,
-            vram_bytes: 80 * (1u64 << 30),
-            ..Self::a100_40gb()
-        }
-    }
-
-    /// An NVIDIA H100-SXM: ~3350 GB/s HBM3, ~990 TFLOPS FP16 Tensor Core
-    /// (dense), 132 SMs. Useful for projecting the paper's kernels onto a
-    /// newer part — the INT3-vs-INT4 memory argument is bandwidth-ratio
-    /// invariant.
-    pub fn h100_sxm() -> Self {
-        Self {
-            mem_bw: 3350e9 * 0.85,
-            tc_flops: 990e12 * 0.70,
-            cuda_flops: 67e12 * 0.50,
-            launch_overhead: 5e-6,
-            sync_cost: 3e-6,
-            sm_count: 132,
-            vram_bytes: 80 * (1u64 << 30),
-        }
-    }
-
-    /// Arithmetic-intensity crossover (FLOP/byte) at which this device
-    /// moves from memory- to compute-bound.
-    pub fn ridge_point(&self) -> f64 {
-        self.tc_flops / self.mem_bw
-    }
 }
 
 impl Default for Device {
@@ -90,43 +57,5 @@ mod tests {
         assert!(d.mem_bw > 1e12 && d.mem_bw < 1.6e12);
         assert!(d.tc_flops > 2e14 && d.tc_flops < 3.2e14);
         assert!(d.vram_bytes == 40 * (1u64 << 30));
-    }
-
-    #[test]
-    fn ridge_point_is_in_the_hundreds() {
-        // A100 FP16 ridge ≈ 165 FLOP/byte at effective rates.
-        let r = Device::a100_40gb().ridge_point();
-        assert!(r > 100.0 && r < 250.0, "ridge {r}");
-    }
-
-    #[test]
-    fn bigger_parts_have_more_of_everything() {
-        let a40 = Device::a100_40gb();
-        let a80 = Device::a100_80gb();
-        let h100 = Device::h100_sxm();
-        assert!(a80.mem_bw > a40.mem_bw);
-        assert!(a80.vram_bytes > a40.vram_bytes);
-        assert_eq!(a80.tc_flops, a40.tc_flops);
-        assert!(h100.tc_flops > a80.tc_flops);
-        assert!(h100.mem_bw > a80.mem_bw);
-        // The compute/bandwidth ratio grows generation over generation,
-        // making low-bit weights *more* valuable, not less.
-        assert!(h100.ridge_point() > a40.ridge_point());
-    }
-
-    #[test]
-    fn fp16_mixtral_fits_the_80gb_less_badly() {
-        use crate::e2e::{end_to_end, Backend, E2eResult, ModelSpec};
-        let spec = ModelSpec::mixtral_8x7b();
-        // ~95 GB of FP16 weights: still OOM even on the 80 GB part —
-        // quantization is required, not merely helpful.
-        assert_eq!(
-            end_to_end(&Device::a100_80gb(), Backend::PyTorchFp16, &spec, 1),
-            E2eResult::OutOfMemory
-        );
-        // But the INT3 model fits both parts.
-        assert!(end_to_end(&Device::a100_80gb(), Backend::Milo, &spec, 1)
-            .latency()
-            .is_some());
     }
 }

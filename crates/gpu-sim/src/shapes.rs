@@ -73,11 +73,6 @@ impl MlpModel {
             MlpModel::Falcon180b => vec![(14848, 74240), (74240, 14848)],
         }
     }
-
-    /// Total weight elements across the MLP.
-    pub fn total_weight_elems(&self) -> f64 {
-        self.weight_shapes().iter().map(|&(k, n)| (k * n) as f64).sum()
-    }
 }
 
 /// The GEMM problems of one model's MLP at a given batch size.
@@ -105,7 +100,10 @@ mod tests {
 
     #[test]
     fn models_are_ordered_by_mlp_size() {
-        let sizes: Vec<f64> = MlpModel::all().iter().map(|m| m.total_weight_elems()).collect();
+        let sizes: Vec<f64> = MlpModel::all()
+            .iter()
+            .map(|m| m.weight_shapes().iter().map(|&(k, n)| (k * n) as f64).sum())
+            .collect();
         for w in sizes.windows(2) {
             assert!(w[0] < w[1], "Fig. 10 ordering violated: {sizes:?}");
         }

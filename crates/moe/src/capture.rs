@@ -4,9 +4,10 @@
 //! pipeline runs Wikitext-2 through the model with forward hooks; this
 //! module plays that role for the synthetic models: it runs a corpus
 //! through a copy of the model ([`MoeModel::try_map`]) whose every
-//! weight is a tap that records the rows that flow into it (attention
+//! weight is a tap that reports the rows that flow into it (attention
 //! inputs, per-expert routed token subsets, post-activation hiddens for
-//! the down projections) before applying itself.
+//! the down projections) before applying itself. Only the taps of the
+//! layer being captured are recorded.
 //!
 //! The recorded names are [`MoeModel::projections`]' names, so the
 //! captured map plugs straight into a per-layer GPTQ run.
@@ -71,42 +72,10 @@ impl ActivationStore {
     }
 }
 
-/// Runs every sequence of `corpus` through the first `layers` layers of
-/// a tapped copy of `model`, keeping at most `max_rows` rows per weight.
-fn capture(
-    model: &MoeModel,
-    corpus: &[Vec<u32>],
-    layers: usize,
-    max_rows: usize,
-) -> Result<HashMap<String, Matrix>> {
-    let store = Mutex::new(ActivationStore::new(max_rows));
-    let record = |name: &str, x: &Matrix| {
-        store.lock().expect("no recorder panics while holding the store").record(name, x);
-    };
-    let mut tapped = model.tapped(&record);
-    // Layers past the last one of interest never run.
-    tapped.layers.truncate(layers);
-    corpus.iter().try_for_each(|seq| tapped.forward(seq).map(drop))?;
-    Ok(store.into_inner().expect("no recorder panicked").into_matrices())
-}
-
-/// Captures activations for every quantizable weight by running the
-/// corpus through the model, keeping at most `max_rows` rows per weight.
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn capture_activations(
-    model: &MoeModel,
-    corpus: &[Vec<u32>],
-    max_rows: usize,
-) -> Result<HashMap<String, Matrix>> {
-    capture(model, corpus, model.layers.len(), max_rows)
-}
-
-/// Captures activations for the weights of a single layer only, running
-/// the forward pass just far enough (`0..=layer`) and discarding other
-/// layers' records. Used by sequential GPTQ.
+/// Captures activations for the weights of layer `layer` only, keeping
+/// at most `max_rows` rows per weight. The forward pass runs just far
+/// enough (`0..=layer`), and the recorder drops every other layer's
+/// inputs before copying them. Used by sequential GPTQ.
 ///
 /// # Errors
 ///
@@ -117,10 +86,17 @@ pub fn capture_layer_activations(
     layer: usize,
     max_rows: usize,
 ) -> Result<HashMap<String, Matrix>> {
-    Ok(capture(model, corpus, layer + 1, max_rows)?
-        .into_iter()
-        .filter(|(name, _)| layer_index(name) == layer)
-        .collect())
+    let store = Mutex::new(ActivationStore::new(max_rows));
+    let record = |name: &str, x: &Matrix| {
+        if layer_index(name) == layer {
+            store.lock().expect("no recorder panics while holding the store").record(name, x);
+        }
+    };
+    let mut tapped = model.tapped(&record);
+    // Layers past the one of interest never run.
+    tapped.layers.truncate(layer + 1);
+    corpus.iter().try_for_each(|seq| tapped.forward(seq).map(drop))?;
+    Ok(store.into_inner().expect("no recorder panicked").into_matrices())
 }
 
 #[cfg(test)]
@@ -145,11 +121,18 @@ mod tests {
         assert!(store.into_inner().unwrap().n_rows("layer0.attn.wq") > 0);
     }
 
+    /// Every layer's capture, merged into one map.
+    fn capture_all(m: &MoeModel, corpus: &[Vec<u32>], rows: usize) -> HashMap<String, Matrix> {
+        (0..m.layers.len())
+            .flat_map(|l| capture_layer_activations(m, corpus, l, rows).unwrap())
+            .collect()
+    }
+
     #[test]
     fn captured_names_match_layer_tensors() {
         let m = model();
         let corpus: Vec<Vec<u32>> = (0..4).map(|i| vec![i, i + 1, i + 2, i + 3]).collect();
-        let acts = capture_activations(&m, &corpus, 64).unwrap();
+        let acts = capture_all(&m, &corpus, 64);
         let names: std::collections::HashSet<String> =
             layer_tensors(&m, None).into_iter().map(|t| t.name).collect();
         for name in acts.keys() {
@@ -165,7 +148,7 @@ mod tests {
     fn captured_widths_match_weight_input_dims() {
         let m = model();
         let corpus = vec![vec![1u32, 2, 3, 4, 5, 6, 7, 8]];
-        let acts = capture_activations(&m, &corpus, 32).unwrap();
+        let acts = capture_all(&m, &corpus, 32);
         let tensors = layer_tensors(&m, None);
         for (name, x) in &acts {
             let t = tensors.iter().find(|t| &t.name == name).unwrap();
@@ -177,7 +160,7 @@ mod tests {
     fn row_cap_is_respected() {
         let m = model();
         let corpus: Vec<Vec<u32>> = (0..30).map(|_| (0..32).collect()).collect();
-        let acts = capture_activations(&m, &corpus, 10).unwrap();
+        let acts = capture_all(&m, &corpus, 10);
         let tensors = layer_tensors(&m, None);
         for (name, x) in &acts {
             let width = tensors.iter().find(|t| &t.name == name).unwrap().weight.cols();
@@ -187,5 +170,33 @@ mod tests {
         // The 64-wide attention inputs should actually hit their floor cap
         // (2·64 + 16 = 144) given 960 corpus tokens.
         assert_eq!(acts["layer0.attn.wq"].rows(), 144);
+    }
+
+    #[test]
+    fn layer_capture_is_the_layer_subset_of_an_unfiltered_run() {
+        let m = model();
+        let corpus: Vec<Vec<u32>> = (0..6).map(|i| (i..i + 20).collect()).collect();
+        let store = Mutex::new(ActivationStore::new(48));
+        let record = |name: &str, x: &Matrix| store.lock().unwrap().record(name, x);
+        let tapped = m.tapped(&record);
+        corpus.iter().for_each(|seq| drop(tapped.forward(seq).unwrap()));
+        let everything = store.into_inner().unwrap().into_matrices();
+        let bits = |x: &Matrix| -> Vec<u32> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
+
+        // Layer 0 is tiny_deepseek's dense layer; the last one routes.
+        for layer in [0, m.layers.len() - 1] {
+            let acts = capture_layer_activations(&m, &corpus, layer, 48).unwrap();
+            let mut want: Vec<&String> =
+                everything.keys().filter(|name| layer_index(name) == layer).collect();
+            let mut got: Vec<&String> = acts.keys().collect();
+            want.sort();
+            got.sort();
+            assert!(!want.is_empty(), "layer {layer} recorded nothing");
+            assert_eq!(got, want, "layer {layer}");
+            for (name, x) in &acts {
+                assert_eq!(x.shape(), everything[name].shape(), "{name}");
+                assert_eq!(bits(x), bits(&everything[name]), "{name}");
+            }
+        }
     }
 }

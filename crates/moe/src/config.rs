@@ -153,16 +153,6 @@ impl MoeConfig {
         }
     }
 
-    /// Per-head dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d_model` is not divisible by `n_heads`.
-    pub fn head_dim(&self) -> usize {
-        assert_eq!(self.d_model % self.n_heads, 0, "d_model must divide by n_heads");
-        self.d_model / self.n_heads
-    }
-
     /// Total parameter count of the quantizable weights (attention +
     /// experts + shared/dense FFNs), excluding embeddings and routers,
     /// which the paper keeps in half precision.
@@ -202,7 +192,6 @@ mod tests {
         ] {
             assert_eq!(cfg.d_model % cfg.n_heads, 0, "{}", cfg.name);
             assert!(cfg.top_k <= cfg.n_experts, "{}", cfg.name);
-            assert!(cfg.head_dim() > 0);
         }
     }
 

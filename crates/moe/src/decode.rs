@@ -44,11 +44,6 @@ impl DecodeState {
         self.seen == 0
     }
 
-    /// Approximate memory held by the caches, in bytes.
-    pub fn cache_bytes(&self) -> usize {
-        self.kv.iter().map(|(k, v)| 4 * (k.len() + v.len())).sum()
-    }
-
     /// Checks that the state was built for a model of `n_layers` layers
     /// of width `d_model`.
     pub(crate) fn check(&self, n_layers: usize, d_model: usize) -> Result<()> {
@@ -138,11 +133,12 @@ mod tests {
     #[test]
     fn cache_grows_linearly() {
         let m = model();
+        let cached = |s: &DecodeState| s.kv.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>();
         let mut state = DecodeState::new(&m);
         m.forward_step(1, &mut state).unwrap();
-        let one = state.cache_bytes();
+        let one = cached(&state);
         m.forward_step(2, &mut state).unwrap();
-        assert_eq!(state.cache_bytes(), 2 * one);
+        assert_eq!(cached(&state), 2 * one);
         assert!(!state.is_empty());
     }
 

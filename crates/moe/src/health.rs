@@ -163,11 +163,6 @@ impl HealthTracker {
         Self { cooldown, ..Self::default() }
     }
 
-    /// The configured base cooldown (ticks), 0 when sticky.
-    pub fn cooldown(&self) -> u64 {
-        self.cooldown
-    }
-
     /// Records an expert failure. The first recorded reason wins.
     ///
     /// * **Closed → Open**: a new quarantine; emits the quarantine

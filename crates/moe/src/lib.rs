@@ -54,7 +54,7 @@ pub mod router;
 pub mod serialize;
 pub mod tensors;
 
-pub use capture::{capture_activations, capture_layer_activations, ActivationStore};
+pub use capture::{capture_layer_activations, ActivationStore};
 pub use config::MoeConfig;
 pub use decode::DecodeState;
 pub use health::{

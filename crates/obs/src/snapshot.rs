@@ -13,15 +13,7 @@ use crate::registry::{self, MetricSnapshot};
 /// a note instead of an empty string when nothing was recorded, so CLI
 /// users see *why* the table is empty.
 pub fn render() -> String {
-    render_snapshot(&registry::snapshot())
-}
-
-/// Renders the metrics whose key starts with `prefix`.
-pub fn render_prefixed(prefix: &str) -> String {
-    render_snapshot(&registry::snapshot_prefixed(prefix))
-}
-
-fn render_snapshot(snap: &[(String, MetricSnapshot)]) -> String {
+    let snap = registry::snapshot();
     if snap.is_empty() {
         return "no telemetry recorded (is MILO_TELEMETRY set?)\n".to_string();
     }
@@ -29,7 +21,7 @@ fn render_snapshot(snap: &[(String, MetricSnapshot)]) -> String {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
     let mut hists = Vec::new();
-    for (k, m) in snap {
+    for (k, m) in &snap {
         match m {
             MetricSnapshot::Counter(v) => counters.push((k.as_str(), *v)),
             MetricSnapshot::Gauge(v) => gauges.push((k.as_str(), *v)),
@@ -111,15 +103,5 @@ mod tests {
         assert!(text.contains("== histograms =="), "{text}");
         assert!(text.contains("t.render.lat"), "{text}");
         assert!(text.contains("p95"), "{text}");
-    }
-
-    #[test]
-    fn prefixed_render_filters() {
-        let _g = crate::test_guard();
-        registry::counter("t.pfx.a").add(1);
-        registry::counter("t.other.b").add(1);
-        let text = render_prefixed("t.pfx.");
-        assert!(text.contains("t.pfx.a"), "{text}");
-        assert!(!text.contains("t.other.b"), "{text}");
     }
 }

@@ -23,6 +23,18 @@ use milo_tensor::F16;
 /// The FP16 constant `1024.0` replicated in both lanes.
 const MAGIC: u32 = 0x6400_6400;
 
+/// The FP16 constant `0.125` (`0x3000`) in both lanes: the `1024 + 8e`
+/// path's rescale.
+const EIGHTH: u32 = 0x3000_3000;
+
+/// The FP16 constant `−128.0` (`0xD800`) in both lanes: the `1024 + 8e`
+/// path's offset after rescaling.
+const NEG_128: u32 = 0xD800_D800;
+
+/// The FP16 constant `4.0` (`0x4400`) in both lanes: the symmetric
+/// grid's midpoint code.
+const MIDPOINT: u32 = 0x4400_4400;
+
 /// Extracts the four (lo, hi) weight pairs of a word as `1024 + e` /
 /// `1024 + 8e` registers and reduces them to raw code values `e` in both
 /// lanes. Returns `[e0..e7]` in group-local order.
@@ -35,11 +47,11 @@ fn extract_codes_f16(word: u32) -> [u32; 4] {
         *reg = if i % 2 == 0 {
             // 1024 + e path: subtract 1024 to leave e.
             let spliced = (shifted & LANE_MASK_LO) | MAGIC;
-            h2::hsub2(spliced, h2::splat(F16::B1024))
+            h2::hsub2(spliced, MAGIC)
         } else {
             // 1024 + 8e path: e = (1024 + 8e) · (1/8) − 128.
             let spliced = (shifted & LANE_MASK_HI) | MAGIC;
-            h2::hfma2(spliced, h2::splat(F16::from_f32(0.125)), h2::splat(F16::from_f32(-128.0)))
+            h2::hfma2(spliced, EIGHTH, NEG_128)
         };
     }
     regs
@@ -49,11 +61,10 @@ fn extract_codes_f16(word: u32) -> [u32; 4] {
 /// scheme: `w = (e − 4) · step` (paper Eq. 15 inverted), where `step` is
 /// the group's grid step. Output is in group-local order `e0..e7`.
 pub fn dequant_word_sym(word: u32, step: F16) -> [F16; 8] {
-    let offset = h2::splat(F16::from_f32(4.0));
     let step2 = h2::splat(step);
     let mut out = [F16::ZERO; 8];
     for (i, reg) in extract_codes_f16(word).iter().enumerate() {
-        let centred = h2::hsub2(*reg, offset);
+        let centred = h2::hsub2(*reg, MIDPOINT);
         let scaled = h2::hmul2(centred, step2);
         let (lo, hi) = h2::unpack(scaled);
         // Pair i holds group-local weights (2i, 2i+1).
@@ -163,6 +174,14 @@ mod tests {
         let (lo, hi) = h2::unpack(MAGIC);
         assert_eq!(lo.to_f32(), 1024.0);
         assert_eq!(hi.to_f32(), 1024.0);
+    }
+
+    #[test]
+    fn register_constants_match_their_splats() {
+        assert_eq!(MAGIC, h2::splat(F16::B1024));
+        assert_eq!(EIGHTH, h2::splat(F16::from_f32(0.125)));
+        assert_eq!(NEG_128, h2::splat(F16::from_f32(-128.0)));
+        assert_eq!(MIDPOINT, h2::splat(F16::from_f32(4.0)));
     }
 
     #[test]

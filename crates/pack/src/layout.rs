@@ -145,12 +145,6 @@ pub fn word_codes(word: u32) -> [u8; 8] {
     deinterleave(&extract_eight(word))
 }
 
-/// Storage bytes for `n` codes under the zero-waste layout (exactly
-/// 3 bits per code, in 96-bit group units).
-pub fn zero_waste_bytes(n: usize) -> usize {
-    n.div_ceil(GROUP) * WORDS_PER_GROUP * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +242,7 @@ mod tests {
         // the paper's "zero bit waste" packing reclaims.
         let n = 320usize;
         let naive_b = n.div_ceil(10) * 4;
-        let zw_b = zero_waste_bytes(n);
+        let zw_b = n / GROUP * std::mem::size_of_val(&pack_group(&random_codes(0)));
         assert_eq!(naive_b, 128);
         assert_eq!(zw_b, 120);
         assert!((1.0 - zw_b as f64 / naive_b as f64 - 0.0625).abs() < 1e-9);

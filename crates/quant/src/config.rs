@@ -124,15 +124,6 @@ impl QuantConfig {
     pub fn packed_bytes(&self, rows: usize, cols: usize) -> usize {
         (rows * cols * self.bits as usize).div_ceil(8) + self.param_bytes(rows, cols)
     }
-
-    /// Returns a copy with a different bit width.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`QuantConfig::new`].
-    pub fn with_bits(&self, bits: u8) -> Result<Self> {
-        Self::new(bits, self.group_size, self.scheme)
-    }
 }
 
 #[cfg(test)]
@@ -171,12 +162,5 @@ mod tests {
         assert_eq!(c.groups_per_row(64), 1);
         assert_eq!(c.groups_per_row(65), 2);
         assert_eq!(c.groups_per_row(128), 2);
-    }
-
-    #[test]
-    fn with_bits_preserves_other_fields() {
-        let c = QuantConfig::int3_asym().with_bits(4).unwrap();
-        assert_eq!(c.bits(), 4);
-        assert_eq!(c.group_size(), 64);
     }
 }

@@ -65,16 +65,6 @@ impl F16 {
         f16_bits_to_f32(self.0)
     }
 
-    /// Whether the value is NaN.
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
-
-    /// Whether the value is +∞ or −∞.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
     /// Half-precision addition (widen, add, round).
     pub fn add(self, rhs: F16) -> F16 {
         F16::from_f32(self.to_f32() + rhs.to_f32())
@@ -273,8 +263,8 @@ mod tests {
         // Exhaustive: every half value must survive f16 -> f32 -> f16.
         for bits in 0u16..=u16::MAX {
             let h = F16::from_bits(bits);
-            if h.is_nan() {
-                assert!(F16::from_f32(h.to_f32()).is_nan());
+            if h.to_f32().is_nan() {
+                assert!(F16::from_f32(h.to_f32()).to_f32().is_nan());
             } else {
                 assert_eq!(F16::from_f32(h.to_f32()).to_bits(), bits, "bits {bits:#06x}");
             }
@@ -291,8 +281,8 @@ mod tests {
 
     #[test]
     fn overflow_rounds_to_infinity() {
-        assert!(F16::from_f32(1e30).is_infinite());
-        assert!(F16::from_f32(-1e30).is_infinite());
+        assert_eq!(F16::from_f32(1e30).to_f32(), f32::INFINITY);
+        assert_eq!(F16::from_f32(-1e30).to_f32(), f32::NEG_INFINITY);
     }
 
     #[test]
@@ -311,7 +301,7 @@ mod tests {
 
     #[test]
     fn nan_is_preserved() {
-        assert!(F16::from_f32(f32::NAN).is_nan());
+        assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
         assert!(F16::from_bits(0x7E00).to_f32().is_nan());
     }
 

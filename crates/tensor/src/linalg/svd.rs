@@ -31,17 +31,6 @@ pub struct Svd {
 }
 
 impl Svd {
-    /// Reconstructs `U · diag(σ) · Vᵗ`.
-    pub fn reconstruct(&self) -> Matrix {
-        let mut us = self.u.clone();
-        for r in 0..us.rows() {
-            for (c, &s) in self.sigma.iter().enumerate() {
-                us[(r, c)] *= s;
-            }
-        }
-        us.matmul(&self.vt).expect("shapes are consistent by construction")
-    }
-
     /// Splits into the paper's compensator form `U' = U·√Σ`, `V' = √Σ·Vᵗ`
     /// (Eq. 12), so that `U'·V'` equals the truncated reconstruction.
     pub fn split_balanced(&self) -> (Matrix, Matrix) {
@@ -239,6 +228,17 @@ mod tests {
     use super::*;
     use crate::rng::WeightDist;
 
+    /// Reconstructs `U · diag(σ) · Vᵗ`.
+    fn reconstruct(svd: &Svd) -> Matrix {
+        let mut us = svd.u.clone();
+        for r in 0..us.rows() {
+            for (c, &s) in svd.sigma.iter().enumerate() {
+                us[(r, c)] *= s;
+            }
+        }
+        us.matmul(&svd.vt).unwrap()
+    }
+
     fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -255,14 +255,14 @@ mod tests {
     fn jacobi_reconstructs_tall_matrix() {
         let a = random(16, 8, 1);
         let svd = jacobi_svd(&a).unwrap();
-        assert_close(&svd.reconstruct(), &a, 1e-4);
+        assert_close(&reconstruct(&svd), &a, 1e-4);
     }
 
     #[test]
     fn jacobi_reconstructs_wide_matrix() {
         let a = random(6, 14, 2);
         let svd = jacobi_svd(&a).unwrap();
-        assert_close(&svd.reconstruct(), &a, 1e-4);
+        assert_close(&reconstruct(&svd), &a, 1e-4);
     }
 
     #[test]
@@ -352,7 +352,7 @@ mod tests {
         let full = jacobi_svd(&a).unwrap();
         let r = 4;
         let trunc = truncated_svd(&a, r, 10, 3, 13).unwrap();
-        let approx = trunc.reconstruct();
+        let approx = reconstruct(&trunc);
         let err = a.sub(&approx).unwrap().frobenius_norm();
         let optimal: f32 =
             full.sigma[r..].iter().map(|&s| (s as f64) * (s as f64)).sum::<f64>().sqrt() as f32;
@@ -367,7 +367,7 @@ mod tests {
         let a = random(15, 10, 9);
         let svd = truncated_svd(&a, 3, 5, 2, 1).unwrap();
         let (u, v) = svd.split_balanced();
-        assert_close(&u.matmul(&v).unwrap(), &svd.reconstruct(), 1e-4);
+        assert_close(&u.matmul(&v).unwrap(), &reconstruct(&svd), 1e-4);
     }
 
     #[test]

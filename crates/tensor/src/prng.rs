@@ -94,19 +94,6 @@ pub struct Xoshiro256pp {
     s: [u64; 4],
 }
 
-impl Xoshiro256pp {
-    /// Creates a generator from explicit state. At least one word must be
-    /// nonzero; all-zero state is remapped to a fixed nonzero state.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0; 4] {
-            // The all-zero state is the one fixed point of the transition
-            // function; substitute the expansion of seed 0 instead.
-            return Self::seed_from_u64(0);
-        }
-        Self { s }
-    }
-}
-
 impl SeedableRng for Xoshiro256pp {
     /// Expands `seed` through SplitMix64, the seeding procedure the
     /// xoshiro authors recommend (it guarantees a nonzero state and
@@ -325,13 +312,6 @@ mod tests {
         let mut b = Xoshiro256pp::seed_from_u64(2);
         let matches = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(matches, 0, "adjacent seeds should decorrelate via SplitMix64");
-    }
-
-    #[test]
-    fn zero_state_is_remapped() {
-        let mut rng = Xoshiro256pp::from_state([0; 4]);
-        // The all-zero state would emit zeros forever; the remap must not.
-        assert!((0..8).any(|_| rng.next_u64() != 0));
     }
 
     #[test]

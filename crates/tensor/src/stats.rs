@@ -85,14 +85,14 @@ pub fn residual_rank(singular_values: &[f32], tau: f32) -> usize {
     singular_values.iter().filter(|&&s| s < tau * sigma_max).count()
 }
 
-/// A fixed-width histogram over a symmetric value range, used to reproduce
-/// the information-loss overlap plots (paper Figs. 2 and 4).
+/// A fixed-width histogram over a value range, used to print the FP16 and
+/// INT3-dequantized weight distributions of paper Fig. 2.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f32,
     hi: f32,
     counts: Vec<u64>,
-    /// Samples outside `[lo, hi]`, kept so overlap metrics remain honest.
+    /// Samples outside `[lo, hi]`, counted apart from the bins.
     outliers: u64,
 }
 
@@ -140,30 +140,6 @@ impl Histogram {
     pub fn bin_center(&self, i: usize) -> f32 {
         let width = (self.hi - self.lo) / self.counts.len() as f32;
         self.lo + width * (i as f32 + 0.5)
-    }
-
-    /// Overlap coefficient with another histogram over the same range:
-    /// `Σ min(pᵢ, qᵢ)` over normalized bins, in `[0, 1]`.
-    ///
-    /// This is the "green overlapping region" metric from paper Fig. 4 — a
-    /// quantization that preserves the weight distribution scores near 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different ranges or bin counts.
-    pub fn overlap(&self, other: &Histogram) -> f32 {
-        assert_eq!(self.counts.len(), other.counts.len(), "bin counts differ");
-        assert_eq!((self.lo, self.hi), (other.lo, other.hi), "ranges differ");
-        let n1: u64 = self.counts.iter().sum::<u64>() + self.outliers;
-        let n2: u64 = other.counts.iter().sum::<u64>() + other.outliers;
-        if n1 == 0 || n2 == 0 {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .zip(&other.counts)
-            .map(|(&a, &b)| (a as f64 / n1 as f64).min(b as f64 / n2 as f64))
-            .sum::<f64>() as f32
     }
 }
 
@@ -234,22 +210,6 @@ mod tests {
         h.add_all(&[-0.9, -0.1, 0.1, 0.9, 5.0]);
         assert_eq!(h.counts().iter().sum::<u64>(), 4);
         assert_eq!(h.outliers(), 1);
-    }
-
-    #[test]
-    fn histogram_self_overlap_is_one() {
-        let mut h = Histogram::new(-1.0, 1.0, 10);
-        h.add_all(&[-0.5, 0.0, 0.5, 0.7, -0.2]);
-        assert!((h.overlap(&h) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_disjoint_overlap_is_zero() {
-        let mut a = Histogram::new(-1.0, 1.0, 2);
-        let mut b = Histogram::new(-1.0, 1.0, 2);
-        a.add(-0.5);
-        b.add(0.5);
-        assert_eq!(a.overlap(&b), 0.0);
     }
 
     #[test]

@@ -40,6 +40,11 @@
 #    here rather than at benchmark time.
 # 8. Documentation: builds the workspace's rustdoc with warnings denied,
 #    so a broken or ambiguous intra-doc link fails the check.
+# 9. Unused public surface: `scripts/unused_pub.py` lists every `pub`
+#    fn/struct/enum/const/type/trait in `crates/*/src` whose name no
+#    other source file and no non-test line of its own file mentions;
+#    any listed item fails the check. Needs python3; without it the step
+#    prints a SKIP line.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -218,3 +223,15 @@ echo "ok: perfbench builds against the workspace and its tests pass"
 # --- 8. Documentation -------------------------------------------------------
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "ok: workspace docs build without warnings"
+
+# --- 9. Unused public surface -----------------------------------------------
+if command -v python3 >/dev/null 2>&1; then
+    if ! python3 scripts/unused_pub.py; then
+        echo "ERROR: the public items above have no caller outside their own tests;"
+        echo "       delete them (and the tests that only exercise them)"
+        exit 1
+    fi
+    echo "ok: every public item in crates/*/src has a caller outside its tests"
+else
+    echo "SKIP: python3 not found; unused public item check (step 9) not run"
+fi
