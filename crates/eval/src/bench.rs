@@ -236,11 +236,6 @@ impl Harness {
         }
         self.results
     }
-
-    /// Suite name.
-    pub fn suite(&self) -> &str {
-        &self.suite
-    }
 }
 
 fn format_ns(ns: f64) -> String {

@@ -26,11 +26,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns and a separator line.
     pub fn render(&self) -> String {
         let n_cols = self.headers.len();
@@ -77,7 +72,7 @@ mod tests {
         assert!(lines[0].starts_with("method"));
         assert!(lines[1].chars().all(|c| c == '-'));
         assert!(lines[2].starts_with("RTN    "));
-        assert_eq!(t.n_rows(), 2);
+        assert_eq!(lines.len(), 4, "header, separator and two rows");
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //!   sweeps over every strict prefix: readers must fail with a typed
 //!   error at every possible cut, never panic or hang.
 //! * **Expert kills and poison** ([`kill_expert`], [`poison_expert`]) —
-//!   injected faults for [`milo_moe::ResilienceContext`] that panic a
-//!   chosen expert mid-dispatch or replace its output with NaN,
-//!   exercising the non-finite guard at the expert boundary and the
-//!   strict and degrade recovery paths.
+//!   faults that panic a chosen expert mid-dispatch or replace its
+//!   output with NaN, exercising the non-finite guard at the expert
+//!   boundary and the strict and degrade recovery paths.
 //! * **Latency faults** ([`slow_expert`]) — experts that sleep before
-//!   computing, exercising deadlines, cooperative cancellation and load
-//!   shedding in `milo-serve`.
-//! * **Fault arming** ([`FaultInjector`]) — a [`ForwardModel`] in front
-//!   of a served model that adds the currently armed expert faults to
-//!   every forward call, so a drill flips faults on and off while the
-//!   server keeps serving.
+//!   computing, exercising deadlines and load shedding in `milo-serve`.
+//! * **Fault arming** ([`FaultInjector`]) — a copy of a model whose
+//!   experts read one shared armed set, served as a [`ForwardModel`], so
+//!   a drill flips faults on and off while the server keeps serving. A
+//!   fault lives on the expert, not in a request: it fires when the
+//!   expert runs, whatever context the request carries.
 //! * **Chaos soak** ([`soak`]) — thousands of seeded requests through a
 //!   real packed-engine server under kill/poison/slow faults and burst
 //!   arrivals, asserting the serving invariants end to end.
@@ -33,9 +32,11 @@ pub mod soak;
 
 pub use soak::{run_soak, SoakConfig, SoakReport};
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use milo_moe::{FaultKind, InjectedFault, ResilienceContext};
+use milo_moe::{FfnBlock, Linear, MoeModel, ResilienceContext};
 use milo_serve::ForwardModel;
 use milo_tensor::prng::{Rng, SeedableRng};
 use milo_tensor::rng::StdRng;
@@ -83,43 +84,131 @@ pub fn corrupt_samples(len: usize, n: usize, rng: &mut StdRng) -> Vec<(usize, u8
         .collect()
 }
 
-/// An injected fault that panics expert `expert` of layer `layer`
-/// mid-dispatch.
-pub fn kill_expert(layer: usize, expert: usize) -> InjectedFault {
-    InjectedFault { layer, expert, kind: FaultKind::Panic }
+/// What goes wrong in a faulty expert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Panics before its `w1` runs.
+    Kill,
+    /// Writes NaN into row 0 of its `w2` output, the expert's output.
+    Poison,
+    /// Sleeps before its `w1` runs; the output itself is correct.
+    Slow(Duration),
 }
 
-/// An injected fault that poisons the output of expert `expert` of
-/// layer `layer` with NaN.
-pub fn poison_expert(layer: usize, expert: usize) -> InjectedFault {
-    InjectedFault { layer, expert, kind: FaultKind::NanOutput }
+/// A fault on expert `expert` (ledger index: routed experts `e`, shared
+/// experts `n_experts + s`) of layer `layer`, armed through
+/// [`FaultInjector::arm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExpertFault {
+    layer: usize,
+    expert: usize,
+    kind: Kind,
 }
 
-/// An injected *latency* fault: expert `expert` of layer `layer` sleeps
-/// `millis` before computing. The sleep is cooperative
-/// ([`milo_moe::ResilienceContext::sleep_interruptible`]), so a cancelled
-/// request escapes it within ~1 ms.
-pub fn slow_expert(layer: usize, expert: usize, millis: u64) -> InjectedFault {
-    InjectedFault { layer, expert, kind: FaultKind::Slow { millis } }
+/// A fault that panics expert `expert` of layer `layer` mid-dispatch.
+pub fn kill_expert(layer: usize, expert: usize) -> ExpertFault {
+    ExpertFault { layer, expert, kind: Kind::Kill }
 }
 
-/// A [`ForwardModel`] in front of `M` that adds the currently armed
-/// faults to each call's [`ResilienceContext`]. The server hands every
-/// attempt a fresh context with no injected faults; whatever is armed
-/// when an attempt starts fires for that attempt.
-pub struct FaultInjector<M> {
-    inner: M,
-    armed: Mutex<Vec<InjectedFault>>,
+/// A fault that poisons the output of expert `expert` of layer `layer`
+/// with NaN.
+pub fn poison_expert(layer: usize, expert: usize) -> ExpertFault {
+    ExpertFault { layer, expert, kind: Kind::Poison }
 }
 
-impl<M> FaultInjector<M> {
-    /// Wraps `inner` with no fault armed.
-    pub fn new(inner: M) -> Self {
-        FaultInjector { inner, armed: Mutex::new(Vec::new()) }
+/// A latency fault: expert `expert` of layer `layer` sleeps `millis`
+/// before computing, as a stalled expert would. The sleep runs to the
+/// end; a request past its deadline unwinds at the next layer boundary.
+pub fn slow_expert(layer: usize, expert: usize, millis: u64) -> ExpertFault {
+    ExpertFault { layer, expert, kind: Kind::Slow(Duration::from_millis(millis)) }
+}
+
+/// The fault set every [`Faulty`] projection of one injector reads.
+type Armed = Arc<Mutex<Vec<ExpertFault>>>;
+
+/// Which projection of which expert a [`Faulty`] wraps.
+#[derive(Clone, Copy)]
+struct Site {
+    layer: usize,
+    expert: usize,
+    /// `true` for the expert's `w1` (the first projection it runs),
+    /// `false` for its `w2` (the one whose output is the expert's).
+    w1: bool,
+}
+
+/// A projection that fires the armed faults of its expert around its
+/// weight. Projections outside an expert's `w1`/`w2` have no site and
+/// only apply their weight.
+struct Faulty<P> {
+    weight: P,
+    site: Option<Site>,
+    armed: Armed,
+}
+
+impl<P: Linear> Linear for Faulty<P> {
+    const METRIC_PREFIX: &'static str = P::METRIC_PREFIX;
+
+    fn forward(&self, x: &Matrix) -> milo_moe::Result<Matrix> {
+        let Some(Site { layer, expert, w1 }) = self.site else {
+            return self.weight.forward(x);
+        };
+        let kind = (self.armed.lock().expect("fault set lock").iter())
+            .find(|f| (f.layer, f.expert) == (layer, expert))
+            .map(|f| f.kind);
+        match (kind, w1) {
+            (Some(Kind::Kill), true) => {
+                panic!("injected fault: expert {expert} of layer {layer} killed mid-dispatch")
+            }
+            (Some(Kind::Slow(delay)), true) => std::thread::sleep(delay),
+            _ => {}
+        }
+        let mut y = self.weight.forward(x)?;
+        if (kind, w1) == (Some(Kind::Poison), false) {
+            y.row_mut(0).fill(f32::NAN);
+        }
+        Ok(y)
     }
+}
 
-    /// Replaces the armed fault set for subsequent calls.
-    pub fn arm(&self, faults: Vec<InjectedFault>) {
+/// A copy of a served model whose every expert can be made to fail:
+/// [`FaultInjector::arm`] sets the faults all its experts read, and the
+/// injector serves the copy as a [`ForwardModel`]. A fault fires when its
+/// expert runs, for every request that reaches the expert, whatever
+/// mode or deadline that request carries. With nothing armed the copy's
+/// logits are bit-identical to the model's.
+pub struct FaultInjector<P> {
+    model: MoeModel<Faulty<P>>,
+    armed: Armed,
+}
+
+impl<P: Clone> FaultInjector<P> {
+    /// Copies `model` with no fault armed. Experts are found by pointer
+    /// identity in `model.layers`, so each keeps its ledger index.
+    pub fn new(model: &MoeModel<P>) -> Self {
+        let mut sites = HashMap::new();
+        for (layer, l) in model.layers.iter().enumerate() {
+            let FfnBlock::Moe(moe) = &l.ffn else { continue };
+            for (expert, mlp) in moe.experts.iter().chain(&moe.shared).enumerate() {
+                sites.insert(&mlp.w1 as *const P, Site { layer, expert, w1: true });
+                sites.insert(&mlp.w2 as *const P, Site { layer, expert, w1: false });
+            }
+        }
+        let armed = Armed::default();
+        let Ok(model) = model.try_map(|_, _, weight| {
+            Ok::<_, std::convert::Infallible>(Faulty {
+                weight: weight.clone(),
+                site: sites.get(&(weight as *const P)).copied(),
+                armed: Arc::clone(&armed),
+            })
+        });
+        FaultInjector { model, armed }
+    }
+}
+
+impl<P> FaultInjector<P> {
+    /// Replaces the armed fault set; experts that run from now on read
+    /// the new set.
+    pub fn arm(&self, faults: Vec<ExpertFault>) {
         *self.armed.lock().expect("fault set lock") = faults;
     }
 
@@ -129,16 +218,9 @@ impl<M> FaultInjector<M> {
     }
 }
 
-impl<M: ForwardModel> ForwardModel for FaultInjector<M> {
+impl<P: Linear + Send> ForwardModel for FaultInjector<P> {
     fn forward(&self, tokens: &[u32], ctx: &ResilienceContext) -> milo_moe::Result<Matrix> {
-        let armed = self.armed.lock().expect("fault set lock").clone();
-        let ctx = ResilienceContext {
-            mode: ctx.mode,
-            health: Arc::clone(&ctx.health),
-            injected: ctx.injected.iter().copied().chain(armed).collect(),
-            cancel: ctx.cancel.clone(),
-        };
-        self.inner.forward(tokens, &ctx)
+        self.model.forward_resilient(tokens, ctx)
     }
 }
 
@@ -165,24 +247,33 @@ mod tests {
     }
 
     #[test]
-    fn injector_adds_the_armed_faults_to_each_call() {
-        let count = |_: &[u32], ctx: &ResilienceContext| {
-            Ok(Matrix::filled(1, 1, ctx.injected.len() as f32))
-        };
-        let model = FaultInjector::new(count);
-        let ctx = ResilienceContext::degrade().with_fault(kill_expert(0, 0));
-        let injected = |m: &FaultInjector<_>| m.forward(&[1], &ctx).unwrap().as_slice()[0];
-        assert_eq!(injected(&model), 1.0, "nothing armed: the caller's faults only");
-        model.arm(vec![poison_expert(1, 2), slow_expert(1, 3, 5)]);
-        assert_eq!(injected(&model), 3.0);
-        model.disarm();
-        assert_eq!(injected(&model), 1.0);
+    fn faults_fire_on_the_expert_they_name() {
+        // tiny_deepseek: layer 0 is dense, layer 1 routes and has one
+        // shared expert, which runs for every token, at ledger index
+        // n_experts.
+        let cfg = milo_moe::MoeConfig::tiny_deepseek();
+        let model = MoeModel::synthesize(&cfg, 17);
+        let faulty = FaultInjector::new(&model);
+        let seq = [3u32, 8];
+        let shared = cfg.n_experts;
+        for fault in [poison_expert(1, shared), kill_expert(1, shared)] {
+            faulty.arm(vec![fault]);
+            let ctx = ResilienceContext::degrade();
+            let logits = faulty.forward(&seq, &ctx).unwrap();
+            assert!(logits.as_slice().iter().all(|v| v.is_finite()));
+            assert_eq!(ctx.health.failures().len(), 1, "{fault:?}");
+            assert!(ctx.health.is_failed(fault.layer, fault.expert), "{fault:?}");
+        }
+        faulty.disarm();
+        let ctx = ResilienceContext::strict();
+        assert_eq!(faulty.forward(&seq, &ctx).unwrap(), model.forward(&seq).unwrap());
     }
 
     #[test]
     fn expert_fault_constructors() {
-        assert_eq!(kill_expert(1, 2).kind, FaultKind::Panic);
-        assert_eq!(poison_expert(3, 4).kind, FaultKind::NanOutput);
+        assert_eq!(kill_expert(1, 2).kind, Kind::Kill);
+        assert_eq!(poison_expert(3, 4).kind, Kind::Poison);
+        assert_eq!(slow_expert(0, 1, 5).kind, Kind::Slow(Duration::from_millis(5)));
         assert_eq!(kill_expert(1, 2).layer, 1);
         assert_eq!(poison_expert(3, 4).expert, 4);
     }

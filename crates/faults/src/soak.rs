@@ -8,11 +8,11 @@
 //!    the healthy baseline.
 //! 2. **Fault window** (to 50%) — the injector arms three faults on
 //!    layer 1: an expert is killed (panics mid-dispatch), another
-//!    poisoned (NaN output), a third slowed
-//!    ([`FaultKind::Slow`]); a seeded fraction of requests runs strict
-//!    (exercising retries) and a seeded slice carries deadlines shorter
-//!    than the slow fault (exercising cancellation and shedding), while
-//!    oversized bursts exercise admission control.
+//!    poisoned (NaN output), a third slowed ([`slow_expert`]); a
+//!    seeded fraction of requests runs strict (exercising retries) and a
+//!    seeded slice carries deadlines shorter than the slow fault
+//!    (exercising mid-layer expiry and shedding), while oversized bursts
+//!    exercise admission control.
 //! 3. **Recovery** (rest) — faults disarmed; circuit breakers must walk
 //!    open → half-open → closed and re-admit the quarantined experts.
 //!
@@ -43,10 +43,6 @@ use milo_tensor::prng::{Rng, SeedableRng};
 use milo_tensor::rng::StdRng;
 
 use crate::{kill_expert, poison_expert, slow_expert, FaultInjector};
-
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use milo_moe::FaultKind;
 
 /// Soak-run shape. All counts are in requests; phase boundaries are
 /// fractions of [`requests`](SoakConfig::requests) (20% / 30% / 50%).
@@ -282,7 +278,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         return Err("soak needs at least 100 requests to cover all three phases".into());
     }
     let (model, moe_cfg) = build_soak_model(cfg.seed)?;
-    let model = Arc::new(FaultInjector::new(model));
+    let model = Arc::new(FaultInjector::new(&model));
     let server = Server::start(
         Arc::clone(&model) as Arc<dyn ForwardModel>,
         ServerConfig {
@@ -290,7 +286,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             queue_capacity: cfg.queue_capacity,
             default_deadline: Some(cfg.deadline),
             retry: RetryPolicy::default(),
-            mode: FaultMode::Degrade,
             seed: cfg.seed,
             breaker_cooldown: cfg.breaker_cooldown,
             watchdog_interval: Duration::from_millis(2),

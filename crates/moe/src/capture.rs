@@ -20,8 +20,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Accumulates activation rows per layer name, capped per layer.
-#[derive(Debug, Clone)]
-pub struct ActivationStore {
+struct ActivationStore {
     max_rows: usize,
     width: HashMap<String, usize>,
     rows: HashMap<String, Vec<f32>>,
@@ -31,12 +30,12 @@ impl ActivationStore {
     /// Creates a store. Each layer keeps at most
     /// `max(max_rows, 2·width + 16)` rows — the floor guarantees enough
     /// rows for a well-conditioned GPTQ Hessian regardless of `max_rows`.
-    pub fn new(max_rows: usize) -> Self {
+    fn new(max_rows: usize) -> Self {
         Self { max_rows, width: HashMap::new(), rows: HashMap::new() }
     }
 
     /// Records all rows of `x` under `name`, up to the per-layer cap.
-    pub fn record(&mut self, name: &str, x: &Matrix) {
+    fn record(&mut self, name: &str, x: &Matrix) {
         let width = *self.width.entry(name.to_string()).or_insert(x.cols());
         debug_assert_eq!(width, x.cols(), "inconsistent activation width for {name}");
         let cap = self.max_rows.max(2 * width + 16);
@@ -49,16 +48,8 @@ impl ActivationStore {
         }
     }
 
-    /// Number of rows captured for `name`.
-    pub fn n_rows(&self, name: &str) -> usize {
-        match (self.rows.get(name), self.width.get(name)) {
-            (Some(buf), Some(&w)) if w > 0 => buf.len() / w,
-            _ => 0,
-        }
-    }
-
     /// Finalizes into per-layer activation matrices.
-    pub fn into_matrices(self) -> HashMap<String, Matrix> {
+    fn into_matrices(self) -> HashMap<String, Matrix> {
         let mut out = HashMap::new();
         for (name, buf) in self.rows {
             let w = self.width[&name];
@@ -118,7 +109,7 @@ mod tests {
         let a = m.tapped(&record).forward(&seq).unwrap();
         let b = m.forward(&seq).unwrap();
         assert_eq!(a, b);
-        assert!(store.into_inner().unwrap().n_rows("layer0.attn.wq") > 0);
+        assert!(store.into_inner().unwrap().into_matrices()["layer0.attn.wq"].rows() > 0);
     }
 
     /// Every layer's capture, merged into one map.

@@ -8,13 +8,13 @@
 //! calibration capture and expert-frequency profiling share the routing,
 //! the panic isolation, the fault policy, and the telemetry.
 
-use crate::health::{FaultKind, FaultMode, ResilienceContext};
+use crate::health::{FaultMode, ResilienceContext};
 use crate::linear::Linear;
 use crate::model::{FfnBlock, MoeBlock};
 use crate::router::Router;
 use crate::{MoeError, Result};
 use milo_tensor::{pool, Matrix};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// `assignment[e]` lists the `(token row, gate)` pairs routed to expert
 /// `e`, in token order.
@@ -78,8 +78,7 @@ impl<P: Linear> MoeBlock<P> {
     ///   without rescaling, since shared contributions are not gated.
     ///
     /// A clean dispatch of a half-open expert is its recovery probe
-    /// passing. Injected faults from the context fire when the matching
-    /// expert is dispatched.
+    /// passing.
     ///
     /// The scatter-back runs serially in expert order, then token order,
     /// with shared experts last, so the output is bit-identical at every
@@ -104,15 +103,6 @@ impl<P: Linear> MoeBlock<P> {
             if (routed && assignment[i].is_empty()) || ctx.health.is_failed(layer, i) {
                 return None;
             }
-            match ctx.injected_kind(layer, i) {
-                Some(FaultKind::Panic) => {
-                    panic!("injected fault: expert {i} of layer {layer} killed mid-dispatch")
-                }
-                Some(FaultKind::Slow { millis }) => {
-                    ctx.sleep_interruptible(Duration::from_millis(millis));
-                }
-                _ => {}
-            }
             let res = if routed {
                 let sub = gather(x, &assignment[i]);
                 let t0 = telemetry.then(Instant::now);
@@ -124,13 +114,7 @@ impl<P: Linear> MoeBlock<P> {
             } else {
                 self.shared[i - n_experts].forward(x)
             };
-            let mut res = res.map_err(|e| e.to_string());
-            if ctx.injected_kind(layer, i) == Some(FaultKind::NanOutput) {
-                if let Ok(y) = &mut res {
-                    y.row_mut(0)[0] = f32::NAN;
-                }
-            }
-            Some(res)
+            Some(res.map_err(|e| e.to_string()))
         });
 
         let mut outputs: Vec<Option<Matrix>> = Vec::with_capacity(raw.len());

@@ -6,10 +6,12 @@
 //! panics. This module provides the bookkeeping for that: a
 //! [`FaultMode`] policy choosing between failing fast and degrading
 //! gracefully, a [`HealthTracker`] that is a per-expert **circuit
-//! breaker** (closed → open → half-open, with probe-based recovery), a
-//! [`CancelToken`] propagating per-request deadlines into the forward
-//! path, and [`InjectedFault`] hooks the deterministic fault-injection
-//! harness (`milo-faults`) uses to exercise the recovery paths.
+//! breaker** (closed → open → half-open, with probe-based recovery), and
+//! the [`ResilienceContext`] a request hands the forward path: its mode,
+//! the shared breakers and its deadline. Nothing here knows how an
+//! expert comes to fail; the fault-injection harness (`milo-faults`)
+//! wraps the experts of a model copy, so its faults fire when the expert
+//! runs, for every request that reaches it.
 //!
 //! # Circuit-breaker state machine
 //!
@@ -38,9 +40,9 @@
 
 use milo_obs::json::JsonValue;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the forward pass does when an expert fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,49 +53,6 @@ pub enum FaultMode {
     /// Quarantine the expert, renormalize the router's top-k mass over
     /// the survivors, and keep serving.
     Degrade,
-}
-
-/// The kind of fault an [`InjectedFault`] simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The expert's worker panics mid-dispatch.
-    Panic,
-    /// The expert returns an output poisoned with NaN.
-    NanOutput,
-    /// The expert's forward is delayed by `millis` milliseconds before
-    /// computing (a slow or stalled worker). The delay sleeps in small
-    /// slices and aborts early if the request's [`CancelToken`] fires,
-    /// so a stalled expert cannot hold a worker hostage much past its
-    /// deadline. The output itself is *correct* — latency faults
-    /// exercise deadline and watchdog paths, not value guards.
-    Slow {
-        /// Injected delay in milliseconds.
-        millis: u64,
-    },
-}
-
-/// A deterministic fault wired into a specific expert of a specific
-/// layer, consulted by the resilient forward paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectedFault {
-    /// Transformer layer index.
-    pub layer: usize,
-    /// Expert index within the layer (routed experts come first; shared
-    /// experts follow at `n_experts + s`).
-    pub expert: usize,
-    /// What goes wrong.
-    pub kind: FaultKind,
-}
-
-/// Circuit-breaker state of one `(layer, expert)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: dispatched normally.
-    Closed,
-    /// Quarantined: skipped by every forward pass.
-    Open,
-    /// Cooldown elapsed: the next dispatch is a recovery probe.
-    HalfOpen,
 }
 
 /// Internal ledger entry for a non-closed breaker.
@@ -229,18 +188,6 @@ impl HealthTracker {
             .is_some_and(|e| !e.half_open)
     }
 
-    /// The breaker state of `(layer, expert)`.
-    pub fn state(&self, layer: usize, expert: usize) -> BreakerState {
-        if self.n_entries.load(Ordering::Relaxed) == 0 {
-            return BreakerState::Closed;
-        }
-        match self.entries.lock().expect("health tracker lock").get(&(layer, expert)) {
-            None => BreakerState::Closed,
-            Some(e) if e.half_open => BreakerState::HalfOpen,
-            Some(_) => BreakerState::Open,
-        }
-    }
-
     /// Advances every open breaker by one cooldown tick; breakers whose
     /// cooldown elapses move to half-open (next dispatch probes). Called
     /// once per served request by the serving layer. No-op for sticky
@@ -329,57 +276,8 @@ impl HealthTracker {
     }
 }
 
-/// A cooperative cancellation token carried by a request: an explicit
-/// cancel flag (set by a client) plus an optional hard
-/// deadline. The resilient forward paths check it at every layer
-/// boundary, so a cancelled or expired request unwinds with a typed
-/// error within one layer's compute time instead of running to
-/// completion.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-}
-
-impl CancelToken {
-    /// A token that never expires on its own (cancel is still manual).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A token that reports cancelled once `deadline` passes.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self { flag: Arc::new(AtomicBool::new(false)), deadline: Some(deadline) }
-    }
-
-    /// The hard deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Sets the cancel flag. Clones share the flag, so a caller can
-    /// cancel a request it only holds a clone of.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the request should stop: explicitly cancelled or past its
-    /// deadline.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Time remaining until the deadline (`None` = no deadline;
-    /// `Some(ZERO)` = already expired).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// Everything the resilient forward paths need to decide how to react
-/// to a failing expert: the policy, the quarantine ledger, any injected
-/// faults driving a test, and the request's cancellation token.
+/// What a request hands the resilient forward paths: how to react to a
+/// failing expert, the quarantine ledger, and when to give up.
 #[derive(Debug)]
 pub struct ResilienceContext {
     /// Fail-fast or degrade.
@@ -387,23 +285,16 @@ pub struct ResilienceContext {
     /// Per-expert circuit-breaker ledger. Behind an [`Arc`] so a serving
     /// layer can share one tracker across many per-request contexts.
     pub health: Arc<HealthTracker>,
-    /// Faults to simulate, consulted at dispatch time.
-    pub injected: Vec<InjectedFault>,
-    /// Cooperative cancellation, checked at layer boundaries.
-    pub cancel: Option<CancelToken>,
+    /// The request's deadline, checked at every layer boundary
+    /// (`None` = no deadline).
+    pub deadline: Option<Instant>,
 }
 
 impl ResilienceContext {
     /// A context with the given policy, no quarantined experts, and no
-    /// injected faults.
+    /// deadline.
     pub fn new(mode: FaultMode) -> Self {
-        Self { mode, health: Arc::new(HealthTracker::new()), injected: Vec::new(), cancel: None }
-    }
-
-    /// A context sharing an existing health tracker (how `milo-serve`
-    /// builds one context per request over one set of breakers).
-    pub fn with_shared_health(mode: FaultMode, health: Arc<HealthTracker>) -> Self {
-        Self { mode, health, injected: Vec::new(), cancel: None }
+        Self { mode, health: Arc::new(HealthTracker::new()), deadline: None }
     }
 
     /// Shorthand for a fail-fast context.
@@ -416,56 +307,28 @@ impl ResilienceContext {
         Self::new(FaultMode::Degrade)
     }
 
-    /// Adds an injected fault (builder style).
-    #[must_use]
-    pub fn with_fault(mut self, fault: InjectedFault) -> Self {
-        self.injected.push(fault);
-        self
-    }
-
-    /// Attaches a cancellation token (builder style).
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The fault kind injected into `(layer, expert)`, if any.
-    pub fn injected_kind(&self, layer: usize, expert: usize) -> Option<FaultKind> {
-        self.injected
-            .iter()
-            .find(|f| f.layer == layer && f.expert == expert)
-            .map(|f| f.kind)
-    }
-
-    /// Whether the request was cancelled or its deadline passed.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Sleeps up to `delay`, waking early (in ≤1 ms) if the request is
-    /// cancelled. Injected [`FaultKind::Slow`] delays run through this so
-    /// a stalled expert releases its worker promptly once the deadline
-    /// passes.
-    pub fn sleep_interruptible(&self, delay: Duration) {
-        const SLICE: Duration = Duration::from_millis(1);
-        let until = Instant::now() + delay;
-        loop {
-            if self.is_cancelled() {
-                return;
-            }
-            let now = Instant::now();
-            if now >= until {
-                return;
-            }
-            std::thread::sleep(SLICE.min(until - now));
-        }
+    /// Whether the deadline has passed.
+    pub fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// The breaker state of `(layer, expert)` as the tracker's public
+    /// surface shows it.
+    fn state(h: &HealthTracker, layer: usize, expert: usize) -> &'static str {
+        if h.is_failed(layer, expert) {
+            "open"
+        } else if h.failures().iter().any(|(k, _)| *k == (layer, expert)) {
+            "half-open"
+        } else {
+            "closed"
+        }
+    }
 
     #[test]
     fn tracker_is_sticky_and_first_reason_wins() {
@@ -480,17 +343,8 @@ mod tests {
         for _ in 0..100 {
             h.tick();
         }
-        assert_eq!(h.state(0, 3), BreakerState::Open);
+        assert_eq!(state(&h, 0, 3), "open");
         assert!(!h.probe_succeeded(0, 3));
-    }
-
-    #[test]
-    fn injected_faults_are_looked_up_by_layer_and_expert() {
-        let ctx = ResilienceContext::degrade()
-            .with_fault(InjectedFault { layer: 1, expert: 2, kind: FaultKind::Panic });
-        assert_eq!(ctx.injected_kind(1, 2), Some(FaultKind::Panic));
-        assert_eq!(ctx.injected_kind(1, 3), None);
-        assert_eq!(ctx.injected_kind(0, 2), None);
     }
 
     #[test]
@@ -508,19 +362,19 @@ mod tests {
     #[test]
     fn breaker_walks_closed_open_half_open_closed() {
         let h = HealthTracker::with_cooldown(3);
-        assert_eq!(h.state(1, 2), BreakerState::Closed);
+        assert_eq!(state(&h, 1, 2), "closed");
         h.record(1, 2, "panic");
-        assert_eq!(h.state(1, 2), BreakerState::Open);
+        assert_eq!(state(&h, 1, 2), "open");
         assert!(h.is_failed(1, 2));
         h.tick();
         h.tick();
-        assert_eq!(h.state(1, 2), BreakerState::Open, "cooldown not yet elapsed");
+        assert_eq!(state(&h, 1, 2), "open", "cooldown not yet elapsed");
         h.tick();
-        assert_eq!(h.state(1, 2), BreakerState::HalfOpen);
+        assert_eq!(state(&h, 1, 2), "half-open");
         // Half-open experts dispatch (probe), so they report healthy.
         assert!(!h.is_failed(1, 2));
         assert!(h.probe_succeeded(1, 2), "probe should close the breaker");
-        assert_eq!(h.state(1, 2), BreakerState::Closed);
+        assert_eq!(state(&h, 1, 2), "closed");
         assert_eq!(h.n_failed(), 0);
     }
 
@@ -530,16 +384,16 @@ mod tests {
         h.record(0, 0, "first failure");
         h.tick();
         h.tick();
-        assert_eq!(h.state(0, 0), BreakerState::HalfOpen);
+        assert_eq!(state(&h, 0, 0), "half-open");
         // Probe fails: breaker re-opens and now needs 2 * 2 = 4 ticks.
         h.record(0, 0, "probe failed");
-        assert_eq!(h.state(0, 0), BreakerState::Open);
+        assert_eq!(state(&h, 0, 0), "open");
         for _ in 0..3 {
             h.tick();
-            assert_eq!(h.state(0, 0), BreakerState::Open);
+            assert_eq!(state(&h, 0, 0), "open");
         }
         h.tick();
-        assert_eq!(h.state(0, 0), BreakerState::HalfOpen);
+        assert_eq!(state(&h, 0, 0), "half-open");
         // The first reason is still the sticky one.
         assert_eq!(h.failures()[0].1, "first failure");
     }
@@ -550,53 +404,17 @@ mod tests {
         assert!(!h.probe_succeeded(0, 0), "closed expert is not a probe");
         h.record(0, 0, "x");
         assert!(!h.probe_succeeded(0, 0), "open expert is not probing yet");
-        assert_eq!(h.state(0, 0), BreakerState::Open);
+        assert_eq!(state(&h, 0, 0), "open");
     }
 
     #[test]
-    fn cancel_token_flag_and_deadline() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        assert_eq!(t.remaining(), None);
-        let clone = t.clone();
-        clone.cancel();
-        assert!(t.is_cancelled(), "clones share the flag");
-
-        let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert!(expired.is_cancelled());
-        assert_eq!(expired.remaining(), Some(Duration::ZERO));
-
-        let live = CancelToken::with_deadline(Instant::now() + Duration::from_secs(60));
-        assert!(!live.is_cancelled());
-        assert!(live.remaining().unwrap() > Duration::from_secs(59));
-    }
-
-    #[test]
-    fn interruptible_sleep_exits_early_on_cancel() {
-        let token = CancelToken::new();
-        let ctx = ResilienceContext::degrade().with_cancel(token.clone());
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(10));
-                token.cancel();
-            });
-            ctx.sleep_interruptible(Duration::from_secs(30));
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "sleep should abort shortly after cancel, took {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn shared_health_context_sees_cross_context_quarantines() {
-        let shared = Arc::new(HealthTracker::with_cooldown(2));
-        let a = ResilienceContext::with_shared_health(FaultMode::Degrade, Arc::clone(&shared));
-        let b = ResilienceContext::with_shared_health(FaultMode::Degrade, Arc::clone(&shared));
-        a.health.record(0, 1, "dead");
-        assert!(b.health.is_failed(0, 1));
-        assert_eq!(shared.n_failed(), 1);
+    fn context_expires_at_its_deadline() {
+        assert!(!ResilienceContext::degrade().expired(), "no deadline never expires");
+        let past = Instant::now() - Duration::from_millis(1);
+        let ctx = ResilienceContext { deadline: Some(past), ..ResilienceContext::strict() };
+        assert!(ctx.expired());
+        let future = Instant::now() + Duration::from_secs(60);
+        let ctx = ResilienceContext { deadline: Some(future), ..ResilienceContext::strict() };
+        assert!(!ctx.expired());
     }
 }

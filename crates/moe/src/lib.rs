@@ -54,13 +54,10 @@ pub mod router;
 pub mod serialize;
 pub mod tensors;
 
-pub use capture::{capture_layer_activations, ActivationStore};
+pub use capture::capture_layer_activations;
 pub use config::MoeConfig;
 pub use decode::DecodeState;
-pub use health::{
-    BreakerState, CancelToken, FaultKind, FaultMode, HealthTracker, InjectedFault,
-    ResilienceContext,
-};
+pub use health::{FaultMode, HealthTracker, ResilienceContext};
 pub use linear::Linear;
 pub use model::{FfnBlock, MoeBlock, MoeModel, TransformerLayer};
 pub use profile::{profile_expert_frequency, FrequencyProfile};
@@ -94,11 +91,11 @@ pub enum MoeError {
         /// Human-readable failure cause.
         reason: String,
     },
-    /// The request's [`CancelToken`] fired (deadline
-    /// passed or its caller cancelled it); the forward pass unwound at a
+    /// The request's deadline passed
+    /// ([`ResilienceContext::deadline`]); the forward pass unwound at a
     /// layer boundary.
     Cancelled {
-        /// The layer boundary at which the cancellation was observed
+        /// The layer boundary at which the expiry was observed
         /// (`n_layers` = the pre-head check after the last layer).
         layer: usize,
     },

@@ -38,11 +38,6 @@ impl Mlp {
         assert_eq!(w2.shape(), (d, ffn), "w2 must be the transpose shape of w1");
         Self { w1, w2, w3 }
     }
-
-    /// Model dimension.
-    pub fn d_model(&self) -> usize {
-        self.w1.cols()
-    }
 }
 
 impl<P: Linear> Mlp<P> {

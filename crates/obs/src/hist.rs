@@ -89,11 +89,6 @@ impl Histogram {
         self.total.load(Ordering::Relaxed)
     }
 
-    /// The display unit.
-    pub fn unit(&self) -> Unit {
-        self.unit
-    }
-
     /// The `q`-th percentile (`0.0 ..= 100.0`) as the representative
     /// value of the bucket holding that rank, clamped to the observed
     /// min/max so an almost-empty histogram does not report a bucket

@@ -12,11 +12,12 @@
 //!   sits in one ledger (queued, then running) under one lock; a full
 //!   queue rejects work with a typed [`ServeError::Overloaded`], so queue
 //!   depth can never grow without bound.
-//! * **Deadlines** — a per-request budget becomes a
-//!   [`milo_moe::CancelToken`] carried through the forward path and
+//! * **Deadlines** — a per-request budget becomes the deadline of the
+//!   request's [`ResilienceContext`](milo_moe::ResilienceContext),
 //!   checked at every layer boundary; an expired request unwinds with a
 //!   typed [`ServeError::DeadlineExceeded`] naming the [`Stage`] it
-//!   reached.
+//!   reached. A retry backoff that would cross the deadline is not
+//!   taken.
 //! * **Retries** — retryable failures (strict-mode expert faults) are
 //!   retried under [`retry::RetryPolicy`]: exponential backoff with
 //!   seeded jitter from `milo_tensor::prng`, so every schedule is a pure
@@ -37,12 +38,12 @@
 //! arithmetic of a successful forward pass. A [`Response`] carries the
 //! logits of every position of the request (`tokens × vocab`).
 //!
-//! The server has no fault-injection API: each attempt gets a fresh
-//! [`ResilienceContext`](milo_moe::ResilienceContext) holding the
-//! request's mode, cancel token and the shared breakers. Drills and the
-//! chaos soak inject expert faults by serving the model behind
-//! `milo_faults::FaultInjector`, a [`ForwardModel`] that adds the
-//! currently armed faults to each call's context.
+//! The server has no fault-injection API: a request's context holds
+//! only its mode (degrade unless the request asks for strict), the
+//! shared breakers and its deadline. Drills and the chaos soak serve a
+//! copy of the model whose experts are wrapped by
+//! `milo_faults::FaultInjector`; an armed fault fires when its expert
+//! runs, for every request that reaches it.
 
 #![warn(missing_docs)]
 

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use milo_moe::{CancelToken, FaultMode};
+use milo_moe::FaultMode;
 use milo_tensor::Matrix;
 
 use crate::Result;
@@ -17,7 +17,8 @@ pub struct Request {
     /// Per-request deadline budget; `None` falls back to the server's
     /// default (which may itself be `None` = no deadline).
     pub deadline: Option<Duration>,
-    /// Per-request fault mode; `None` falls back to the server default.
+    /// Per-request fault mode; `None` serves the request in
+    /// [`FaultMode::Degrade`].
     pub mode: Option<FaultMode>,
 }
 
@@ -63,7 +64,7 @@ pub(crate) struct Inflight {
     pub(crate) tokens: Vec<u32>,
     pub(crate) mode: FaultMode,
     pub(crate) admitted: Instant,
-    pub(crate) cancel: CancelToken,
+    pub(crate) deadline: Option<Instant>,
     slot: Mutex<Option<Result<Response>>>,
     cond: Condvar,
 }
@@ -75,16 +76,12 @@ impl Inflight {
         mode: FaultMode,
         deadline: Option<Instant>,
     ) -> Self {
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
-        };
         Inflight {
             id,
             tokens,
             mode,
             admitted: Instant::now(),
-            cancel,
+            deadline,
             slot: Mutex::new(None),
             cond: Condvar::new(),
         }
@@ -98,7 +95,7 @@ impl Inflight {
     }
 
     pub(crate) fn past_deadline(&self, now: Instant) -> bool {
-        self.cancel.deadline().is_some_and(|d| now >= d)
+        self.deadline.is_some_and(|d| now >= d)
     }
 
     fn wait(&self) -> Result<Response> {

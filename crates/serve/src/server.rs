@@ -50,9 +50,9 @@ pub use milo_moe::MoeError as ForwardError;
 /// Implemented for [`milo_moe::MoeModel`] over any projection type — the
 /// dense reference and, through [`milo_engine::PackedMoeModel`], the
 /// deployment backend — and for closures, so tests can script failures
-/// without a real model. Injected expert faults arrive the same way: the
-/// soak and the serving drills put `milo_faults::FaultInjector` in front
-/// of the packed model. The server classifies the
+/// without a real model. Expert faults arrive the same way: the soak and
+/// the serving drills serve a `milo_faults::FaultInjector`, a copy of the
+/// packed model with faulty experts. The server classifies the
 /// [`MoeError`]: `ExpertFailed` is retried, `Cancelled` is a deadline
 /// error, anything else fails the request as [`ServeError::Model`].
 pub trait ForwardModel: Send + Sync {
@@ -98,8 +98,6 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Retry budget and backoff shape for retryable failures.
     pub retry: RetryPolicy,
-    /// Fault mode for requests that do not carry their own.
-    pub mode: FaultMode,
     /// Seed for retry jitter; each request derives its own RNG from
     /// `seed ⊕ id`, so schedules are reproducible.
     pub seed: u64,
@@ -117,7 +115,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             default_deadline: None,
             retry: RetryPolicy::default(),
-            mode: FaultMode::Degrade,
             seed: 0x4D69_4C6F, // "MiLo"
             breaker_cooldown: 8,
             watchdog_interval: Duration::from_millis(5),
@@ -241,7 +238,7 @@ impl Server {
         }
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         let deadline = budget.map(|b| Instant::now() + b);
-        let mode = req.mode.unwrap_or(shared.cfg.mode);
+        let mode = req.mode.unwrap_or(FaultMode::Degrade);
         let inflight = Arc::new(Inflight::new(id, req.tokens, mode, deadline));
         let mut ledger = shared.ledger.lock().expect("ledger lock");
         if ledger.closed {
@@ -375,7 +372,12 @@ fn worker_loop(shared: &Shared) {
 /// terminal outcome.
 fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
     let _span = milo_obs::span(|| format!("serve.request{{id={}}}", inflight.id));
-    if inflight.cancel.is_cancelled() {
+    let ctx = ResilienceContext {
+        mode: inflight.mode,
+        health: Arc::clone(&shared.health),
+        deadline: inflight.deadline,
+    };
+    if ctx.expired() {
         // Expired while queued; no work was started.
         return Err(ServeError::DeadlineExceeded { stage: Stage::Queued });
     }
@@ -389,11 +391,6 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let ctx = ResilienceContext::with_shared_health(
-            inflight.mode,
-            Arc::clone(&shared.health),
-        )
-        .with_cancel(inflight.cancel.clone());
         match shared.model.forward(&inflight.tokens, &ctx) {
             Ok(logits) => {
                 return Ok(Response {
@@ -411,11 +408,7 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
                     return Err(ServeError::RetriesExhausted { attempts, last: reason });
                 }
                 let delay = policy.backoff(attempts - 1, &mut rng);
-                if inflight
-                    .cancel
-                    .remaining()
-                    .is_some_and(|left| left <= delay)
-                {
+                if inflight.past_deadline(Instant::now() + delay) {
                     // Backing off would blow the deadline; stop here with
                     // the retry budget unspent rather than guarantee a
                     // deadline miss.
@@ -423,7 +416,7 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
                 }
                 shared.stats.retries.fetch_add(1, Ordering::Relaxed);
                 milo_obs::counter_inc("serve.retry.total");
-                ctx.sleep_interruptible(delay);
+                std::thread::sleep(delay);
             }
             // A request defect, or an expert failure with no retry
             // budget configured: surface the model's error as is.
@@ -436,7 +429,7 @@ fn handle(shared: &Shared, inflight: &Inflight) -> Result<Response> {
 /// their deadline are expired, and for every running request past its
 /// deadline (a stalled worker) the oldest queued request is shed: it is
 /// the one most likely to miss its deadline anyway. Running requests
-/// are not touched: their token reports the expired deadline at the
+/// are not touched: their context reports the expired deadline at the
 /// next layer boundary.
 fn watchdog_loop(shared: &Shared) {
     loop {
@@ -656,12 +649,15 @@ mod tests {
 
     #[test]
     fn deadline_mid_forward_maps_to_layer_stage() {
-        // The model cooperates with cancellation like a real forward
-        // pass: it polls the token and unwinds at "layer 3".
+        // The model honours its deadline like a real forward pass: it
+        // polls the context and unwinds at "layer 3".
         let model: Arc<dyn ForwardModel> =
             Arc::new(|_tokens: &[u32], ctx: &ResilienceContext| {
-                ctx.sleep_interruptible(Duration::from_secs(5));
-                if ctx.is_cancelled() {
+                let start = Instant::now();
+                while !ctx.expired() && start.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                if ctx.expired() {
                     return Err(MoeError::Cancelled { layer: 3 });
                 }
                 Ok(Matrix::zeros(1, 1))
@@ -679,10 +675,10 @@ mod tests {
 
     #[test]
     fn stalled_worker_triggers_shedding_of_queued_load() {
-        // One worker wedged on a non-cooperative model (ignores its
-        // cancel token) past a short deadline; the queued requests have
-        // generous deadlines, so the only way they terminate early is
-        // the watchdog shedding them in response to the stall.
+        // One worker wedged, past a short deadline, on a model that
+        // ignores its deadline; the queued requests have generous
+        // deadlines, so the only way they terminate early is the
+        // watchdog shedding them in response to the stall.
         let gate = Arc::new(AtomicBool::new(false));
         let g = Arc::clone(&gate);
         let model: Arc<dyn ForwardModel> =
@@ -806,8 +802,8 @@ mod tests {
         let model: Arc<dyn ForwardModel> =
             Arc::new(move |tokens: &[u32], ctx: &ResilienceContext| {
                 *r.lock().unwrap().entry(tokens[0]).or_default() += 1;
-                ctx.sleep_interruptible(Duration::from_micros(200));
-                if ctx.is_cancelled() {
+                std::thread::sleep(Duration::from_micros(200));
+                if ctx.expired() {
                     return Err(MoeError::Cancelled { layer: 0 });
                 }
                 Ok(Matrix::zeros(1, 1))

@@ -245,15 +245,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(&self, rhs: &Matrix, op: &str, f: impl Fn(f32, f32) -> f32) -> Result<Matrix> {
         if self.shape() != rhs.shape() {
             return Err(TensorError::ShapeMismatch(format!(
@@ -423,13 +414,6 @@ mod tests {
     fn col_returns_column() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn hadamard_is_elementwise() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.hadamard(&b).unwrap(), Matrix::from_rows(&[&[3.0, 8.0]]));
     }
 
     #[test]

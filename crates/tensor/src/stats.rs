@@ -92,8 +92,6 @@ pub struct Histogram {
     lo: f32,
     hi: f32,
     counts: Vec<u64>,
-    /// Samples outside `[lo, hi]`, counted apart from the bins.
-    outliers: u64,
 }
 
 impl Histogram {
@@ -105,13 +103,12 @@ impl Histogram {
     pub fn new(lo: f32, hi: f32, bins: usize) -> Self {
         assert!(lo < hi, "histogram range must be non-empty");
         assert!(bins > 0, "histogram needs at least one bin");
-        Self { lo, hi, counts: vec![0; bins], outliers: 0 }
+        Self { lo, hi, counts: vec![0; bins] }
     }
 
-    /// Adds one sample.
+    /// Adds one sample; a sample outside `[lo, hi]` is dropped.
     pub fn add(&mut self, x: f32) {
         if !(self.lo..=self.hi).contains(&x) {
-            self.outliers += 1;
             return;
         }
         let width = (self.hi - self.lo) / self.counts.len() as f32;
@@ -129,11 +126,6 @@ impl Histogram {
     /// Per-bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Number of samples that fell outside the range.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
     }
 
     /// Center value of bin `i`.
@@ -205,11 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_outliers() {
+    fn histogram_counts_in_range_samples_only() {
         let mut h = Histogram::new(-1.0, 1.0, 4);
         h.add_all(&[-0.9, -0.1, 0.1, 0.9, 5.0]);
-        assert_eq!(h.counts().iter().sum::<u64>(), 4);
-        assert_eq!(h.outliers(), 1);
+        assert_eq!(h.counts(), &[1, 1, 1, 1]);
     }
 
     #[test]

@@ -2,15 +2,18 @@
 """List public items in `crates/*/src` that nothing outside their tests uses.
 
 An item is a `pub fn|struct|enum|const|type|trait NAME` declared before
-its file's first `#[cfg(test)]`. It is flagged when NAME occurs as a
-whole word in no other `.rs` file under `crates/`, `tests/`,
-`examples/`, `src/` or `perfbench/src/`, and nowhere in its own file's
-non-test part except on the declaration line. Comment lines and
-`pub use` / `pub mod` lines are not references; `target/` is skipped.
+its file's first `#[cfg(test)]`. It is flagged when NAME is referenced
+in no other `.rs` file under `crates/`, `tests/`, `examples/`, `src/`
+or `perfbench/src/`, and nowhere in its own file's non-test part except
+on the declaration line. Comment lines and `pub use` / `pub mod` lines
+are not references; `target/` is skipped.
 
-The check is word-based, not name-resolved: an unused item whose name is
-also used for something else (a field, a local, a method of another
-type) is not reported.
+A reference to a `pub fn` is call-shaped: `.NAME(`, `::NAME`, or
+`NAME(` not preceded by `fn ` (a turbofish `NAME::<` counts as `NAME(`), so a method that shares its name with a
+field or a local is still reported. Any other item is referenced by its
+name as a whole word. The check is by name, not name-resolved: an
+unused item whose name is also used for something else of the same
+shape (a method of another type, say) is not reported.
 
 Usage: scripts/unused_pub.py [ROOT]   (default: the repository root)
 Prints one `path:line: kind NAME` per unused item; exits 1 if any.
@@ -26,6 +29,8 @@ DECL = re.compile(
     r"(fn|struct|enum|const|type|trait)\s+([A-Za-z_][A-Za-z0-9_]*)"
 )
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+CALL = re.compile(r"(?<!fn )\b([A-Za-z_][A-Za-z0-9_]*)(?:\(|::<)")
+PATH = re.compile(r"::([A-Za-z_][A-Za-z0-9_]*)")
 CFG_TEST = "#[cfg(test)]"
 
 
@@ -44,12 +49,12 @@ def is_reference_line(line):
     return not (s.startswith("//") or re.match(r"pub\s+(use|mod)\b", s))
 
 
-def words(lines):
-    out = set()
-    for line in lines:
-        if is_reference_line(line):
-            out.update(WORD.findall(line))
-    return out
+def names(lines):
+    """The names `lines` mention: `(words, calls)`, where `calls` holds
+    only the call-shaped mentions (`::NAME`, `NAME(`, `NAME::<`, but not
+    `fn NAME(`)."""
+    text = "\n".join(l for l in lines if is_reference_line(l))
+    return set(WORD.findall(text)), set(CALL.findall(text)) | set(PATH.findall(text))
 
 
 def main():
@@ -60,7 +65,7 @@ def main():
         with open(path, encoding="utf-8") as f:
             files[path] = f.read().splitlines()
 
-    file_words = {p: words(lines) for p, lines in files.items()}
+    file_names = {p: names(lines) for p, lines in files.items()}
     unused = []
     for path, lines in files.items():
         parts = os.path.relpath(path, root).split(os.sep)
@@ -73,10 +78,10 @@ def main():
             if not m:
                 continue
             kind, name = m.groups()
-            if any(name in file_words[p] for p in files if p != path):
+            which = 1 if kind == "fn" else 0
+            if any(name in file_names[p][which] for p in files if p != path):
                 continue
-            if any(j != i and is_reference_line(l) and name in WORD.findall(l)
-                   for j, l in enumerate(head)):
+            if name in names(head[:i] + head[i + 1:])[which]:
                 continue
             unused.append(f"{os.path.relpath(path, root)}:{i + 1}: {kind} {name}")
     for item in unused:

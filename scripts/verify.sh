@@ -41,10 +41,12 @@
 # 8. Documentation: builds the workspace's rustdoc with warnings denied,
 #    so a broken or ambiguous intra-doc link fails the check.
 # 9. Unused public surface: `scripts/unused_pub.py` lists every `pub`
-#    fn/struct/enum/const/type/trait in `crates/*/src` whose name no
-#    other source file and no non-test line of its own file mentions;
-#    any listed item fails the check. Needs python3; without it the step
-#    prints a SKIP line.
+#    fn/struct/enum/const/type/trait in `crates/*/src` that no other
+#    source file and no non-test line of its own file references; a
+#    `pub fn` counts only call-shaped references (`.name(`, `::name`,
+#    `name(`), any other item a whole-word mention. Any listed item
+#    fails the check. Needs python3; without it the step prints a SKIP
+#    line.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail

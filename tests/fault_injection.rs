@@ -12,14 +12,19 @@
 //!    expert dispatch becomes an `ExpertFailed` error (strict) or a
 //!    quarantine entry (degrade); the thread pool and the process stay
 //!    usable either way.
+//!
+//! Expert faults are armed on a `FaultInjector`, a copy of the model
+//! whose experts fail when they run; the requests' contexts carry only
+//! their mode.
 
 use milo_core::{compress_model, MiloOptions, RankPolicy};
 use milo_engine::PackedMoeModel;
-use milo_faults::{corrupt_samples, fault_rng, kill_expert, poison_expert};
+use milo_faults::{corrupt_samples, fault_rng, kill_expert, poison_expert, FaultInjector};
 use milo_moe::{
     layer_tensors, profile_expert_frequency, MoeConfig, MoeError, MoeModel, ResilienceContext,
 };
 use milo_quant::HqqOptions;
+use milo_serve::ForwardModel;
 use std::io::Cursor;
 
 fn toy_model() -> MoeModel {
@@ -43,8 +48,8 @@ fn toy_model() -> MoeModel {
     MoeModel::synthesize(&cfg, 77)
 }
 
-/// The expert of `layer` that receives the most tokens for `seq`, so an
-/// injected fault there is guaranteed to fire.
+/// The expert of `layer` that receives the most tokens for `seq`, so a
+/// fault there is guaranteed to fire.
 fn busiest_expert(model: &MoeModel, seq: &[u32], layer: usize) -> usize {
     let profile = profile_expert_frequency(model, &[seq.to_vec()]).unwrap();
     let freqs = &profile.per_layer[layer];
@@ -103,16 +108,17 @@ fn nan_poisoned_expert_degrades_and_strict_mode_errors() {
     let model = toy_model();
     let seq: Vec<u32> = (0..10).collect();
     let target = busiest_expert(&model, &seq, 0);
+    let faulty = FaultInjector::new(&model);
+    faulty.arm(vec![poison_expert(0, target)]);
 
     // Degrade: output finite, expert quarantined with a reason.
-    let ctx = ResilienceContext::degrade().with_fault(poison_expert(0, target));
-    let logits = model.forward_resilient(&seq, &ctx).unwrap();
+    let ctx = ResilienceContext::degrade();
+    let logits = faulty.forward(&seq, &ctx).unwrap();
     assert!(logits.as_slice().iter().all(|v| v.is_finite()));
     assert!(ctx.health.is_failed(0, target));
 
     // Strict: typed error naming layer and expert.
-    let strict = ResilienceContext::strict().with_fault(poison_expert(0, target));
-    match model.forward_resilient(&seq, &strict) {
+    match faulty.forward(&seq, &ResilienceContext::strict()) {
         Err(MoeError::ExpertFailed { layer: 0, expert, reason }) => {
             assert_eq!(expert, target);
             assert!(reason.contains("non-finite"), "reason = {reason}");
@@ -135,21 +141,22 @@ fn packed_engine_survives_poisoned_and_killed_experts() {
 
     let seq = [1u32, 9, 17, 33];
     let target = busiest_expert(&reference, &seq, 1);
+    let faulty = FaultInjector::new(&engine);
 
     for fault in [poison_expert(1, target), kill_expert(1, target)] {
-        let ctx = ResilienceContext::degrade().with_fault(fault);
-        let logits = engine.forward_resilient(&seq, &ctx).unwrap();
+        faulty.arm(vec![fault]);
+        let ctx = ResilienceContext::degrade();
+        let logits = faulty.forward(&seq, &ctx).unwrap();
         assert!(logits.as_slice().iter().all(|v| v.is_finite()));
         assert!(ctx.health.is_failed(1, target));
 
-        let strict = ResilienceContext::strict().with_fault(fault);
         assert!(matches!(
-            engine.forward_resilient(&seq, &strict),
+            faulty.forward(&seq, &ResilienceContext::strict()),
             Err(MoeError::ExpertFailed { layer: 1, .. })
         ));
     }
     // Normal serving continues after both drills.
-    assert!(engine.forward(&seq).is_ok());
+    assert!(MoeModel::forward(&engine, &seq).is_ok());
 }
 
 // ---------------------------------------------------------------------
@@ -161,9 +168,11 @@ fn killed_expert_is_contained_and_the_pool_stays_usable() {
     let model = toy_model();
     let seq: Vec<u32> = (0..8).collect();
     let target = busiest_expert(&model, &seq, 1);
+    let faulty = FaultInjector::new(&model);
+    faulty.arm(vec![kill_expert(1, target)]);
 
-    let ctx = ResilienceContext::degrade().with_fault(kill_expert(1, target));
-    let logits = model.forward_resilient(&seq, &ctx).unwrap();
+    let ctx = ResilienceContext::degrade();
+    let logits = faulty.forward(&seq, &ctx).unwrap();
     assert!(logits.as_slice().iter().all(|v| v.is_finite()));
     let failures = ctx.health.failures();
     assert_eq!(failures.len(), 1);
@@ -174,6 +183,42 @@ fn killed_expert_is_contained_and_the_pool_stays_usable() {
     for threads in [1, 2, 4] {
         let out = milo_tensor::pool::with_threads(threads, || model.forward(&seq).unwrap());
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
+    }
+}
+
+#[test]
+fn unarmed_injector_is_bit_identical_to_the_bare_model() {
+    // The tileable Mixtral of `tests/logit_digests.rs`: every projection
+    // runs the fused INT3 kernel, behind a fault wrapper on each expert.
+    let cfg = MoeConfig {
+        d_model: 128,
+        expert_ffn: 256,
+        n_layers: 2,
+        n_heads: 2,
+        ..MoeConfig::tiny_mixtral()
+    };
+    let reference = MoeModel::synthesize(&cfg, 31);
+    let opts = MiloOptions {
+        max_iters: 1,
+        hqq: HqqOptions { max_iters: 5, ..HqqOptions::default() },
+        ..MiloOptions::default()
+    };
+    let tensors = layer_tensors(&reference, None);
+    let compressed = compress_model(&tensors, &RankPolicy::uniform(4), &opts, 2).unwrap();
+    let packed = PackedMoeModel::build(&reference, &compressed).unwrap();
+    assert_eq!(packed.packed_fraction(), 1.0);
+    let faulty = FaultInjector::new(&packed);
+    let bits = |m: &milo_tensor::Matrix| -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    for p in 0..6 {
+        let prompt: Vec<u32> =
+            (0..3 + 2 * p).map(|i| ((7 * i + 13 * p + 1) % cfg.vocab) as u32).collect();
+        for ctx in [ResilienceContext::strict(), ResilienceContext::degrade()] {
+            let bare = packed.forward_resilient(&prompt, &ctx).unwrap();
+            let wrapped = faulty.forward(&prompt, &ctx).unwrap();
+            assert_eq!(bits(&wrapped), bits(&bare), "prompt {p}, {:?}", ctx.mode);
+        }
     }
 }
 

@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use milo_core::{compress_model, MiloOptions, RankPolicy};
-use milo_engine::PackedMoeModel;
-use milo_faults::{kill_expert, slow_expert, FaultInjector};
-use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeModel};
+use milo_engine::{PackedLinear, PackedMoeModel};
+use milo_faults::{kill_expert, slow_expert, ExpertFault, FaultInjector};
+use milo_moe::{layer_tensors, FaultMode, MoeConfig, MoeError, MoeModel, ResilienceContext};
 use milo_quant::HqqOptions;
 use milo_serve::{
     Request, RetryPolicy, ServeError, Server, ServerConfig, Stage,
@@ -23,8 +23,13 @@ use milo_serve::{
 
 /// A real 2-layer packed model (the same compress → pack pipeline the
 /// CLI runs), small enough that a clean forward is well under 1 ms,
-/// behind a fault injector with nothing armed.
-fn packed_model(seed: u64) -> (Arc<FaultInjector<PackedMoeModel>>, MoeConfig) {
+/// copied into a fault injector with nothing armed.
+fn packed_model(seed: u64) -> (Arc<FaultInjector<PackedLinear>>, MoeConfig) {
+    let (packed, cfg) = bare_packed_model(seed);
+    (Arc::new(FaultInjector::new(&packed)), cfg)
+}
+
+fn bare_packed_model(seed: u64) -> (PackedMoeModel, MoeConfig) {
     let cfg = MoeConfig::tiny_mixtral();
     let reference = MoeModel::synthesize(&cfg, seed);
     let tensors = layer_tensors(&reference, None);
@@ -35,8 +40,7 @@ fn packed_model(seed: u64) -> (Arc<FaultInjector<PackedMoeModel>>, MoeConfig) {
     };
     let compressed =
         compress_model(&tensors, &RankPolicy::uniform(2), &opts, 2).unwrap();
-    let packed = PackedMoeModel::build(&reference, &compressed).unwrap();
-    (Arc::new(FaultInjector::new(packed)), cfg)
+    (PackedMoeModel::build(&reference, &compressed).unwrap(), cfg)
 }
 
 fn tokens(cfg: &MoeConfig, n: usize, salt: u64) -> Vec<u32> {
@@ -45,7 +49,7 @@ fn tokens(cfg: &MoeConfig, n: usize, salt: u64) -> Vec<u32> {
 
 /// Slows every routed expert on layer 0, so any top-k assignment hits
 /// the latency fault.
-fn slow_layer0(cfg: &MoeConfig, millis: u64) -> Vec<milo_moe::InjectedFault> {
+fn slow_layer0(cfg: &MoeConfig, millis: u64) -> Vec<ExpertFault> {
     (0..cfg.n_experts).map(|e| slow_expert(0, e, millis)).collect()
 }
 
@@ -80,10 +84,9 @@ fn deadline_mid_layer_names_the_layer_it_died_at() {
             ..ServerConfig::default()
         },
     );
-    // Every layer-0 expert sleeps 10× the deadline; the cooperative
-    // cancellation token trips during the sleep and the engine exits at
-    // the next layer boundary — so the error names a mid-model stage,
-    // not the queue.
+    // Every layer-0 expert sleeps 10× the deadline; the deadline passes
+    // during the sleep and the engine exits at the next layer boundary —
+    // so the error names a mid-model stage, not the queue.
     model.arm(slow_layer0(&cfg, 400));
     let err = server
         .submit(
@@ -218,5 +221,48 @@ fn breaker_walks_open_half_open_closed_under_served_traffic() {
     assert!(health.half_open_total() >= 1, "breaker never reached half-open");
     assert!(health.recovered_total() >= 1, "breaker never closed after probe");
     assert_eq!(health.n_failed(), 0, "expert still quarantined after recovery");
+    server.shutdown();
+}
+
+#[test]
+fn a_fault_armed_mid_serving_fires_for_every_context_until_disarmed() {
+    let (packed, cfg) = bare_packed_model(16);
+    let model = Arc::new(FaultInjector::new(&packed));
+    let server = Server::start(
+        model.clone(),
+        ServerConfig { workers: 1, retry: RetryPolicy::none(), ..ServerConfig::default() },
+    );
+    let prompt = tokens(&cfg, 6, 30);
+    let bare = packed.forward_resilient(&prompt, &ResilienceContext::strict()).unwrap();
+    let strict = || Request::new(prompt.clone()).with_mode(FaultMode::Strict);
+    assert_eq!(server.submit(strict()).unwrap().wait().unwrap().logits, bare);
+
+    // Every layer-1 expert killed, armed while the server runs: a strict
+    // request with a deadline fails on it…
+    let killed: Vec<ExpertFault> = (0..cfg.n_experts).map(|e| kill_expert(1, e)).collect();
+    model.arm(killed.clone());
+    let deadline = Duration::from_secs(30);
+    match server.submit(strict().with_deadline(deadline)).unwrap().wait() {
+        Err(ServeError::Model(MoeError::ExpertFailed { layer: 1, reason, .. })) => {
+            assert!(reason.contains("injected fault"), "reason = {reason}");
+        }
+        other => panic!("expected the armed kill to fail a strict request, got {other:?}"),
+    }
+    assert_eq!(server.health().n_failed(), 0, "strict requests do not quarantine");
+
+    // …and disarming stops it: the next strict request gets the bare
+    // model's logits bit for bit.
+    model.disarm();
+    assert_eq!(server.submit(strict()).unwrap().wait().unwrap().logits, bare);
+
+    // Re-armed, it fires for a degrade request without a deadline too:
+    // that request answers, and the routed experts it reached trip their
+    // breakers.
+    model.arm(killed);
+    let resp = server.submit(Request::new(prompt.clone())).unwrap().wait().unwrap();
+    assert!(resp.logits.as_slice().iter().all(|v| v.is_finite()));
+    assert!(server.health().trips_total() >= 1, "the kill never fired in degrade mode");
+    let reasons = server.health().failures();
+    assert!(reasons.iter().all(|((l, _), r)| *l == 1 && r.contains("injected fault")));
     server.shutdown();
 }
